@@ -14,7 +14,7 @@ from .topology import (BasisIndex, DynSampler, GossipMatrix, OdEquiDynSampler,
                        build_baseline, build_d_equistatic, build_topology,
                        build_u_equistatic, complete_basis, default_basis_count,
                        matrix_csv_text, mod_n, ou_equidyn_euclid, ou_equidyn_node_view,
-                       ou_scan_matrix, sample_od_equidyn, sample_ou_equidyn)
+                       ou_scan_matrix)
 
 __all__ = [
     "BasisIndex", "ConsensusEstimate", "ConsensusTrace", "ConstructionError",
@@ -26,8 +26,7 @@ __all__ = [
     "dsgd_step", "dsgt_step", "empirical_contraction", "fit_decay_slope", "gossip_run",
     "init_state", "make_least_squares", "make_logistic_ncvx", "make_rng",
     "matrix_csv_text", "mod_n", "ou_equidyn_euclid", "ou_equidyn_node_view",
-    "ou_scan_matrix", "run", "sample_od_equidyn", "sample_ou_equidyn",
-    "size_independence_experiment", "validate_matrix",
+    "ou_scan_matrix", "run", "size_independence_experiment", "validate_matrix",
 ]
 
 __version__ = "0.1.0"

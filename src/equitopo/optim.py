@@ -244,11 +244,6 @@ class OptTrace:
     def series(self, key: str, trial: int) -> np.ndarray:
         return self.records[trial][key]
 
-    def mean_series(self, key: str) -> np.ndarray:
-        """Mean over trials; trials truncated by divergence are excluded."""
-        full = [r[key] for r in self.records if len(r["iter"]) == len(self.records[0]["iter"])]
-        return np.mean(full, axis=0)
-
     def csv_text(self) -> str:
         lines = ["algo,family,n,trial,iter,grad_norm_sq,loss,consensus_residual"]
         for trial, rec in enumerate(self.records):

@@ -101,8 +101,7 @@ def empirical_contraction(topology: GossipMatrix | DynSampler, trials: int,
         raise ParameterError(f"trials must be >= 100, got {trials}")
     if rng is None:
         rng = make_rng(seed, "contraction")
-    is_sampler = isinstance(topology, DynSampler) or (
-        hasattr(topology, "sample") and not isinstance(topology, GossipMatrix))
+    is_sampler = isinstance(topology, DynSampler)
     n = topology.n
     ratios = np.empty(trials)
     for k in range(trials):

@@ -147,14 +147,41 @@ def _to_matrix(rows, cols, vals, n, family, basis_index=None) -> GossipMatrix:
                         basis_index=tuple(basis_index) if basis_index is not None else None)
 
 
+def _one_peer(src, off, diag, family, basis_index=None) -> GossipMatrix:
+    """One-peer matrix from its partner array, built straight into sorted CSR.
+
+    Row i keeps `diag` (a scalar or a per-row vector) and takes `off` from
+    column src[i]; an idle row has src[i] == i and stores its diagonal only.
+    """
+    n = len(src)
+    i = np.arange(n)
+    paired = src != i
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(paired + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    slot = indptr[:-1] + (src < i)  # the diagonal follows a partner with a lower column
+    indices[slot], data[slot] = i, diag
+    slot = indptr[:-1][paired] + (src > i)[paired]
+    indices[slot], data[slot] = src[paired], off
+    return GossipMatrix(n, sparse.csr_array((data, indices, indptr), shape=(n, n)),
+                        family, basis_index)
+
+
+def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
+    """(1 - eta) I + eta A, where A gives (n-1)/n to the partner and keeps 1/n, or 1 when idle.
+
+    eta = 1 yields A itself, bit for bit.
+    """
+    n = len(src)
+    a_diag = np.where(src != np.arange(n), 1.0 / n, 1.0)
+    return _one_peer(src, (1.0 - 1.0 / n) * eta, (1.0 - eta) + a_diag * eta, family, basis_index)
+
+
 def basis_matrix(u: int, n: int) -> GossipMatrix:
     """One-peer shift matrix: node j sends to mod_n(j + u) with weight (n-1)/n, keeps 1/n."""
     _check_basis_value(u, n)
-    j = np.arange(n)
-    rows = np.concatenate([(j + u) % n, j])
-    cols = np.concatenate([j, j])
-    vals = np.concatenate([np.full(n, 1.0 - 1.0 / n), np.full(n, 1.0 / n)])
-    return _to_matrix(rows, cols, vals, n, "basis", (u,))
+    return _one_peer((np.arange(n) - u) % n, 1.0 - 1.0 / n, 1.0 / n, "basis", (u,))
 
 
 def _average_of_basis(values: tuple[int, ...], n: int) -> sparse.csr_array:
@@ -217,88 +244,36 @@ def build_u_equistatic(w: GossipMatrix) -> tuple[GossipMatrix, BasisIndex]:
     return GossipMatrix(w.n, mat, "u-equistatic", signed.values), signed
 
 
-def _lazy_mix(a: GossipMatrix, eta: float, family: str) -> GossipMatrix:
-    """(1 - eta) * I + eta * A, preserving A's provenance tags."""
-    mat = (sparse.eye_array(a.n, format="csr") * (1.0 - eta) + a.mat * eta).tocsr()
-    mat.sort_indices()
-    return GossipMatrix(a.n, mat, family, a.basis_index)
+def _check_start(v: int, s: int, n: int) -> None:
+    _check_basis_value(v, n)
+    if not 1 <= s <= n:
+        raise ParameterError(f"start {s} outside [1, {n}]")
 
 
-class DynSampler:
-    """Stateful per-iteration generator of one-peer weight matrices.
+def _ou_partners(v: int, s: int, n: int) -> np.ndarray:
+    """Closed form of the greedy scan's matching for shift v and 1-based start s.
 
-    Single-owner: concurrent experiments should hold independent samplers with
-    distinct seeds.  Given identical (spec, seed) the emitted sequence is
-    identical across runs.
+    Nodes are grouped by their offset k from the start index modulo the
+    effective hop q and alternate forward/backward connections along each
+    group; a group of odd length leaves its last node idle.
     """
-
-    family = ""
-
-    def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None, rng=None):
-        self.spec = spec
-        self.basis_index = basis_index
-        self.rng = rng if rng is not None else make_rng(spec.seed, self.family, "sampler")
-        self.t = 0
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    def sample(self) -> GossipMatrix:
-        raise NotImplementedError
+    q, shift = (v, 0) if 2 * v <= n else (n - v, n - v)
+    i = np.arange(n)
+    k = (i - (s - 1) + shift) % n
+    dd = k // q
+    limit = (n - 1 - k % q) // q
+    matched = (limit % 2 == 1) | (dd < limit)
+    return np.where(matched, np.where(dd % 2 == 0, i + q, i - q) % n, i)
 
 
-class OdEquiDynSampler(DynSampler):
-    family = "od-equidyn"
-
-    def sample(self) -> GossipMatrix:
-        return sample_od_equidyn(self)
-
-
-class OuEquiDynSampler(DynSampler):
-    family = "ou-equidyn"
-
-    def __init__(self, spec, basis_index, rng=None, euclid=False):
-        if euclid:
-            self.family = "ou-equidyn-euclid"
-        super().__init__(spec, basis_index, rng)
-        self.euclid = euclid
-
-    def sample(self) -> GossipMatrix:
-        return sample_ou_equidyn(self)
-
-
-class OnePeerExpSampler(DynSampler):
-    """Cycles hop 2^k, k = t mod (floor(log2(n-1)) + 1), with lazy weight 1/2."""
-
-    family = "one-peer-exp"
-
-    def __init__(self, spec, rng=None):
-        super().__init__(spec, None, rng)
-        self.hops = tuple(2**k for k in range(int(math.log2(spec.n - 1)) + 1))
-
-    def sample(self) -> GossipMatrix:
-        n = self.n
-        hop = self.hops[self.t % len(self.hops)]
-        j = np.arange(n)
-        rows = np.concatenate([(j + hop) % n, j])
-        cols = np.concatenate([j, j])
-        vals = np.full(2 * n, 0.5)
-        w = _to_matrix(rows, cols, vals, n, self.family)
-        self.t += 1
-        return w
-
-
-def sample_od_equidyn(sampler: DynSampler) -> GossipMatrix:
-    """Draw one shift v from the basis multiset; return (1-eta) I + eta A^(v)."""
-    if sampler.basis_index is None or len(sampler.basis_index) == 0:
-        raise ParameterError("sampler holds an empty basis index")
-    values = sampler.basis_index.values
-    eta = sampler.spec.eta
-    v = values[int(sampler.rng.integers(0, len(values)))]
-    w = _lazy_mix(basis_matrix(v, sampler.n), eta, "od-equidyn")
-    sampler.t += 1
-    return w
+def _euclid_partners(v: int, s: int, n: int) -> np.ndarray:
+    """Partners of `ou_equidyn_euclid`: m is each node's position in its class's v-sweep."""
+    d = math.gcd(v, n)
+    nt = n // d
+    i = np.arange(n)
+    m = ((i - (s - 1)) // d * pow(v // d, -1, nt)) % nt
+    matched = (nt % 2 == 0) | (m < nt - 1)
+    return np.where(matched, np.where(m % 2 == 0, i + v, i - v) % n, i)
 
 
 def ou_scan_matrix(v: int, s: int, n: int) -> GossipMatrix:
@@ -306,62 +281,25 @@ def ou_scan_matrix(v: int, s: int, n: int) -> GossipMatrix:
 
     A pair is formed only when both endpoints are still free; matched pairs get
     symmetric weight (n-1)/n with 1/n kept on their diagonals, idle nodes keep 1.
+    This node-by-node scan is the reference the vectorised rules are tested against.
     """
-    _check_basis_value(v, n)
-    if not 1 <= s <= n:
-        raise ParameterError(f"start {s} outside [1, {n}]")
-    matched = np.zeros(n, dtype=bool)
-    pairs = []
-    s0 = s - 1
+    _check_start(v, s, n)
+    src = list(range(n))
     for step in range(n):
-        j = (s0 + step) % n
+        j = (s - 1 + step) % n
         i = (j + v) % n
-        if not matched[i] and not matched[j]:
-            matched[i] = matched[j] = True
-            pairs.append((i, j))
-    return _one_peer_symmetric(pairs, matched, n, "ou-matching", (v,))
-
-
-def _one_peer_symmetric(pairs, matched, n, family, basis_index) -> GossipMatrix:
-    offw = 1.0 - 1.0 / n
-    rows, cols, vals = [], [], []
-    for i, j in pairs:
-        rows += [i, j]
-        cols += [j, i]
-        vals += [offw, offw]
-    diag = np.where(matched, 1.0 / n, 1.0)
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(diag)
-    return _to_matrix(rows, cols, vals, n, family, basis_index)
+        if src[i] == i and src[j] == j:
+            src[i], src[j] = j, i
+    return _lazy_one_peer(np.array(src), 1.0, "ou-matching", (v,))
 
 
 def ou_equidyn_node_view(v: int, s: int, n: int) -> GossipMatrix:
     """Each node derives its matching partner independently from (v, s).
 
-    Produces a matrix bit-identical to `ou_scan_matrix(v, s, n)`: nodes are
-    grouped by their offset from the start index modulo the effective hop q,
-    and alternate forward/backward connections along each group.
+    Produces a matrix bit-identical to `ou_scan_matrix(v, s, n)`.
     """
-    _check_basis_value(v, n)
-    if not 1 <= s <= n:
-        raise ParameterError(f"start {s} outside [1, {n}]")
-    if 2 * v <= n:
-        q, shift = v, 0
-    else:
-        q, shift = n - v, n - v
-    matched = np.zeros(n, dtype=bool)
-    pairs = []
-    for i0 in range(n):
-        k = (i0 - (s - 1) + shift) % n
-        r = k % q
-        dd = k // q
-        limit = (n - 1 - r) // q
-        if limit % 2 == 1 or dd < limit:
-            matched[i0] = True
-            if dd % 2 == 0:
-                pairs.append((i0, (i0 + q) % n))
-    return _one_peer_symmetric(pairs, matched, n, "ou-matching", (v,))
+    _check_start(v, s, n)
+    return _lazy_one_peer(_ou_partners(v, s, n), 1.0, "ou-matching", (v,))
 
 
 def ou_equidyn_euclid(v: int, s: int, n: int) -> GossipMatrix:
@@ -371,35 +309,88 @@ def ou_equidyn_euclid(v: int, s: int, n: int) -> GossipMatrix:
     by repeated v-shifts; consecutive sweep positions are paired, so exactly
     2d * floor(n / (2d)) nodes are matched for every start index s.
     """
-    _check_basis_value(v, n)
-    if not 1 <= s <= n:
-        raise ParameterError(f"start {s} outside [1, {n}]")
-    d = math.gcd(v, n)
-    nt = n // d
-    b = pow(v // d, -1, nt)
-    matched = np.zeros(n, dtype=bool)
-    pairs = []
-    for i0 in range(n):
-        m_i = (((i0 - (s - 1)) // d) * b) % nt
-        if nt % 2 == 0 or m_i < nt - 1:
-            matched[i0] = True
-            if m_i % 2 == 0:
-                pairs.append((i0, (i0 + v) % n))
-    return _one_peer_symmetric(pairs, matched, n, "ou-matching-euclid", (v,))
+    _check_start(v, s, n)
+    return _lazy_one_peer(_euclid_partners(v, s, n), 1.0, "ou-matching-euclid", (v,))
 
 
-def sample_ou_equidyn(sampler: OuEquiDynSampler) -> GossipMatrix:
-    """Draw (v, s) and return (1-eta) I + eta A for the matched one-peer graph."""
-    if sampler.basis_index is None or len(sampler.basis_index) == 0:
-        raise ParameterError("sampler holds an empty basis index")
-    values = sampler.basis_index.values
-    v = values[int(sampler.rng.integers(0, len(values)))]
-    s = int(sampler.rng.integers(1, sampler.n + 1))
-    build = ou_equidyn_euclid if getattr(sampler, "euclid", False) else ou_scan_matrix
-    a = build(v, s, sampler.n)
-    w = _lazy_mix(a, sampler.spec.eta, sampler.family)
-    sampler.t += 1
-    return w
+class DynSampler:
+    """Stateful per-iteration generator of one-peer weight matrices.
+
+    Single-owner: concurrent experiments should hold independent samplers with
+    distinct seeds.  Given identical (spec, seed) the emitted sequence is
+    identical across runs.  Each draw is a partner array turned into CSR by
+    `_one_peer`.
+    """
+
+    families: tuple[str, ...] = ()
+
+    def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None, rng=None):
+        if spec.family not in self.families:
+            raise ParameterError(
+                f"{type(self).__name__} draws {self.families}, not {spec.family!r}")
+        self.spec = spec
+        self.basis_index = basis_index
+        self.rng = rng if rng is not None else make_rng(spec.seed, spec.family, "sampler")
+        self.t = 0
+
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    @property
+    def family(self) -> str:
+        return self.spec.family
+
+    def _draw_shift(self) -> int:
+        if self.basis_index is None or len(self.basis_index) == 0:
+            raise ParameterError("sampler holds an empty basis index")
+        values = self.basis_index.values
+        return values[int(self.rng.integers(0, len(values)))]
+
+    def sample(self) -> GossipMatrix:
+        raise NotImplementedError
+
+
+class OdEquiDynSampler(DynSampler):
+    """Draws one shift v from the basis multiset: (1-eta) I + eta A^(v)."""
+
+    families = ("od-equidyn",)
+
+    def sample(self) -> GossipMatrix:
+        v = self._draw_shift()
+        w = _lazy_one_peer((np.arange(self.n) - v) % self.n, self.spec.eta, self.family, (v,))
+        self.t += 1
+        return w
+
+
+class OuEquiDynSampler(DynSampler):
+    """Draws (v, s): (1-eta) I + eta A for the one-peer matching of shift v from start s."""
+
+    families = ("ou-equidyn", "ou-equidyn-euclid")
+
+    def sample(self) -> GossipMatrix:
+        v = self._draw_shift()
+        s = int(self.rng.integers(1, self.n + 1))
+        rule = _euclid_partners if self.family == "ou-equidyn-euclid" else _ou_partners
+        w = _lazy_one_peer(rule(v, s, self.n), self.spec.eta, self.family, (v,))
+        self.t += 1
+        return w
+
+
+class OnePeerExpSampler(DynSampler):
+    """Cycles hop 2^k, k = t mod (floor(log2(n-1)) + 1), with lazy weight 1/2."""
+
+    families = ("one-peer-exp",)
+
+    def __init__(self, spec, rng=None):
+        super().__init__(spec, None, rng)
+        self.hops = tuple(2**k for k in range(int(math.log2(spec.n - 1)) + 1))
+
+    def sample(self) -> GossipMatrix:
+        hop = self.hops[self.t % len(self.hops)]
+        w = _one_peer((np.arange(self.n) - hop) % self.n, 0.5, 0.5, self.family)
+        self.t += 1
+        return w
 
 
 def _uniform_undirected(edges: set[tuple[int, int]], n: int, family: str) -> GossipMatrix:
@@ -502,8 +493,7 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
     if spec.family == "od-equidyn":
         return OdEquiDynSampler(spec, _dynamic_basis(spec))
     if spec.family in ("ou-equidyn", "ou-equidyn-euclid"):
-        basis = _dynamic_basis(spec).with_reversals()
-        return OuEquiDynSampler(spec, basis, euclid=(spec.family == "ou-equidyn-euclid"))
+        return OuEquiDynSampler(spec, _dynamic_basis(spec).with_reversals())
     return build_baseline(spec)
 
 

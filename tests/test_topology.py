@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equitopo as eq
-from equitopo.topology import FAMILIES, _average_of_basis
+from equitopo.topology import EQUI_DYNAMIC_FAMILIES, FAMILIES, _average_of_basis
 
-from oracles import matched_node_count
+from oracles import euclid_matching, hop_permutation, matched_node_count
 
 
 def spec_for(family, n, **kw):
@@ -258,6 +260,68 @@ def test_ou_sampler_symmetric_lazy_mix():
         assert rep.symmetry_defect == 0.0
         assert rep.doubly_stochastic
         assert rep.max_off_diagonal_degree <= 1
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, database=None)
+def test_ou_node_view_matches_scan_up_to_400(data):
+    n = data.draw(st.integers(2, 400), label="n")
+    v = data.draw(st.integers(1, n - 1), label="v")
+    s = data.draw(st.integers(1, n), label="s")
+    a, b = eq.ou_scan_matrix(v, s, n), eq.ou_equidyn_node_view(v, s, n)
+    assert a.toarray().tobytes() == b.toarray().tobytes()
+
+
+# ---------------------------------------------------------------- samplers against oracles
+
+def replayed_one_peer(family, v, s, n):
+    """The non-lazy one-peer matrix A of a draw, from a reference construction."""
+    if family == "od-equidyn":
+        return eq.basis_matrix(v, n).toarray()
+    if family == "ou-equidyn":
+        return eq.ou_scan_matrix(v, s, n).toarray()
+    return euclid_matching(v, s, n)
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 97, 1000])
+@pytest.mark.parametrize("family", EQUI_DYNAMIC_FAMILIES)
+def test_sampler_draws_bitwise_equal_replayed_oracle(family, n):
+    cls = eq.OdEquiDynSampler if family == "od-equidyn" else eq.OuEquiDynSampler
+    basis = eq.complete_basis(n) if family == "od-equidyn" else \
+        eq.complete_basis(n).with_reversals()
+    for eta in (0.3, 0.5, 0.9):
+        spec = eq.TopologySpec(family, n, m=n - 1, eta=eta, seed=n)
+        sampler = cls(spec, basis)
+        twin = eq.make_rng(spec.seed, family, "sampler")
+        for _ in range(2 if n > 100 else 4):
+            v = basis.values[int(twin.integers(0, len(basis)))]
+            s = None if family == "od-equidyn" else int(twin.integers(1, n + 1))
+            expected = (1 - eta) * np.eye(n) + eta * replayed_one_peer(family, v, s, n)
+            w = sampler.sample()
+            assert w.toarray().tobytes() == expected.tobytes(), (v, s, eta)
+            assert w.mat.has_canonical_format
+            assert (w.family, w.basis_index) == (family, (v,))
+
+
+def test_one_peer_exp_draws_bitwise_equal_dense_shift():
+    n = 13
+    sampler = eq.build_topology(eq.TopologySpec("one-peer-exp", n))
+    for hop in (1, 2, 4, 8, 1):
+        expected = 0.5 * np.eye(n) + 0.5 * hop_permutation(hop, n)
+        assert sampler.sample().toarray().tobytes() == expected.tobytes(), hop
+
+
+@pytest.mark.parametrize("cls,family", [
+    (eq.OdEquiDynSampler, "ou-equidyn"),
+    (eq.OuEquiDynSampler, "od-equidyn"),
+    (eq.OuEquiDynSampler, "one-peer-exp"),
+    (eq.OnePeerExpSampler, "ou-equidyn-euclid"),
+    (eq.OdEquiDynSampler, "ring"),
+])
+def test_sampler_rejects_family_it_does_not_draw(cls, family):
+    spec = eq.TopologySpec(family, 8)
+    with pytest.raises(eq.ParameterError, match=family):
+        cls(spec) if cls is eq.OnePeerExpSampler else cls(spec, eq.complete_basis(8))
 
 
 # ---------------------------------------------------------------- baselines
