@@ -35,8 +35,8 @@ OUT_DIR_ENV = "EQUITOPO_OUT_DIR"
 
 # sidecars carry measured values on top of the config echo; these keys are
 # skipped when a sidecar is fed back in as a config file
-OUTPUT_ONLY_KEYS = {"rho_measured", "rho_target", "basis_index", "method", "slopes",
-                    "diverged_trials"}
+OUTPUT_ONLY_KEYS = {"rho_measured", "rho_target", "basis_index", "method", "rho_tolerance",
+                    "converged", "slopes", "diverged_trials"}
 
 
 class UsageError(Exception):
@@ -166,6 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("topo-build", "build"):
         p = sub.add_parser(name)
         add_common(p)
+        p.add_argument("--tol", type=str)
     for name in ("topo-verify", "verify"):
         p = sub.add_parser(name)
         add_common(p)
@@ -292,6 +293,14 @@ def _write(config, path, csv, extra_meta=None):
     atomic_write_text(sidecar_path(path), sidecar_text(meta))
 
 
+def _accuracy_meta(est) -> dict:
+    """How exact `est` is; `converged = False` marks power iteration stopped at its cap."""
+    meta = {"rho_tolerance": est.tolerance_or_stderr}
+    if not est.converged:
+        meta["converged"] = False
+    return meta
+
+
 def _cmd_topo_build(config: ExperimentConfig) -> int:
     topo = build_topology(_spec_from(config))
     # dynamic families export their first realization
@@ -301,6 +310,7 @@ def _cmd_topo_build(config: ExperimentConfig) -> int:
     meta = {"rho_target": config.rho, "rho_measured": est.value, "method": est.method}
     if w.basis_index is not None:
         meta["basis_index"] = w.basis_index
+    meta.update(_accuracy_meta(est))
     _write(config, path, matrix_csv_text(w), meta)
     print(f"built {config.family} n={config.n} rho_measured={est.value!r} -> {path}")
     return 0
@@ -323,7 +333,8 @@ def _cmd_topo_verify(config: ExperimentConfig) -> int:
     line = (f"{config.family},{config.n},{'' if m is None else m},"
             f"{config.rho!r},{rho_measured!r},{est.method},{trials}")
     _write(config, path, header + "\n" + line + "\n",
-           {"rho_target": config.rho, "rho_measured": rho_measured, "method": est.method})
+           {"rho_target": config.rho, "rho_measured": rho_measured, "method": est.method,
+            **_accuracy_meta(est)})
     verdict = "<=" if rho_measured <= config.rho else ">"
     print(f"{config.family} n={config.n} rho_measured={rho_measured!r} "
           f"{verdict} rho_target={config.rho!r}")

@@ -2,13 +2,17 @@
 
 For a fixed doubly-stochastic W the consensus factor is the spectral norm of
 the centered matrix (I - J) W (I - J): the worst one-step contraction of the
-disagreement component.  Static matrices are measured exactly (dense SVD for
-small n, power iteration on the centered normal operator otherwise); dynamic
-samplers are measured by Monte Carlo one-step contraction.
+disagreement component.  A circulant matrix, W[i, j] = c[(i - j) mod n], is
+normal, so its factor is exactly max_{k != 0} |fft(c)_k| ("circulant-fft");
+every equi-static matrix, basis matrix, od-equidyn draw, ring, static-exp and
+complete graph is one.  Other static matrices fall back to dense SVD for
+small n and to power iteration on the centered normal operator otherwise;
+dynamic samplers are measured by Monte Carlo one-step contraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,7 @@ class ConsensusEstimate:
     """
 
     value: float
-    method: str  # power-iteration | dense-eig | monte-carlo
+    method: str  # circulant-fft | dense-eig | power-iteration | monte-carlo
     iterations_or_trials: int
     tolerance_or_stderr: float
     converged: bool = True
@@ -47,16 +51,55 @@ def _dense_factor(w: GossipMatrix) -> float:
     return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
+def _circulant_column(w: GossipMatrix) -> np.ndarray | None:
+    """Column 0 of `w` when w[i, j] == c[(i - j) % n] for every i, j; else None.
+
+    Every stored entry must be non-zero and match c, and the stored count must
+    be n times the support of c; with no duplicate entries that leaves no
+    stored or missing position outside the circulant pattern.
+    """
+    mat, n = w.mat, w.n
+    if not mat.has_canonical_format or not np.all(mat.data):
+        return None
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    on_col0 = mat.indices == 0
+    c = np.zeros(n)
+    c[rows[on_col0]] = mat.data[on_col0]
+    if mat.nnz != n * np.count_nonzero(c):
+        return None
+    return c if np.array_equal(mat.data, c[(rows - mat.indices) % n]) else None
+
+
+def _circulant_factor(c: np.ndarray) -> ConsensusEstimate:
+    """Exact factor of a circulant matrix: its eigenvalues are fft(c); centering drops k = 0.
+
+    The tolerance bounds the floating-point FFT's error in any one output,
+    C u log2(n) ||fft(c)||_2 with ||fft(c)||_2 = sqrt(n) ||c||_2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 24.2); C = 8 and the
+    length 4n also cover the Bluestein path taken for large prime factors.
+    """
+    n = c.size
+    value = float(np.abs(np.fft.fft(c)[1:]).max(initial=0.0))
+    eps = float(np.finfo(float).eps)
+    bound = 8 * eps * math.log2(4 * n) * math.sqrt(n) * float(np.linalg.norm(c))
+    return ConsensusEstimate(value, "circulant-fft", 1, bound)
+
+
 def consensus_factor(w: GossipMatrix, tol: float = POWER_TOL, method: str = "auto",
                      max_iter: int | None = None, start_seed: int = 0xC0FFEE) -> ConsensusEstimate:
-    """Spectral norm of the centered mixing matrix, to relative accuracy `tol`.
+    """Spectral norm of the centered mixing matrix.
 
-    Power iteration runs on the squared centered operator restricted to the
-    mean-zero subspace; the iterate is re-centered every step so floating
-    point drift cannot leak into the all-ones direction.  Falls back to dense
-    SVD for n <= 64 (or on request).
+    "auto" reads a circulant matrix's factor exactly from one FFT of its
+    column 0.  Any other matrix goes to dense SVD for n <= 64 and to power
+    iteration, to relative step change `tol`, otherwise; both can also be
+    requested by name.  Power iteration runs on the squared centered operator
+    restricted to the mean-zero subspace; the iterate is re-centered every
+    step so floating point drift cannot leak into the all-ones direction.
     """
     if method == "auto":
+        c = _circulant_column(w)
+        if c is not None:
+            return _circulant_factor(c)
         method = "dense-eig" if w.n <= DENSE_CUTOFF else "power-iteration"
     if method == "dense-eig":
         return ConsensusEstimate(_dense_factor(w), "dense-eig", 1, 0.0)

@@ -498,10 +498,22 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
 
 
 def matrix_csv_text(w: GossipMatrix) -> str:
-    """Sparse triplet export: header `row,col,weight`, 0-based, full precision."""
-    coo = w.mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = ["row,col,weight"]
-    for idx in order:
-        lines.append(f"{coo.row[idx]},{coo.col[idx]},{float(coo.data[idx])!r}")
-    return "\n".join(lines) + "\n"
+    """Sparse triplet export: header `row,col,weight`, 0-based, full precision.
+
+    Lines follow the CSR in row, then column order, one row at a time.  Each
+    node label and each distinct weight's repr is formatted once; weights are
+    told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    mat = w.mat if w.mat.has_sorted_indices else w.mat.sorted_indices()
+    data = mat.data.astype(np.float64, copy=False)
+    bits, weight_of = np.unique(data.view(np.int64), return_inverse=True)
+    cells = ["," + repr(x) + "\n" for x in bits.view(np.float64).tolist()]
+    labels = [str(i) for i in range(w.n)]
+    bounds = mat.indptr.tolist()
+    parts = ["row,col,weight\n"]
+    for i in range(w.n):
+        lo, hi = bounds[i], bounds[i + 1]
+        prefix = labels[i] + ","
+        parts.append("".join([prefix + labels[j] + cells[k] for j, k in
+                              zip(mat.indices[lo:hi].tolist(), weight_of[lo:hi].tolist())]))
+    return "".join(parts)

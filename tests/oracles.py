@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: gradients are checked
 against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
-dense SVD with explicit centering matrices, and one-peer draws against dense
-matrices built node by node.
+dense SVD with explicit centering matrices or a long-double DFT, one-peer
+draws against dense matrices built node by node, and the CSV export against
+a per-entry formatting loop.
 """
 
 import math
@@ -71,3 +72,27 @@ def euclid_matching(v, s, n):
 def hop_permutation(hop, n):
     """P^hop for the cyclic shift P that sends node j to node j + 1 (mod n)."""
     return np.linalg.matrix_power(np.roll(np.eye(n), 1, axis=0), hop)
+
+
+def matrix_csv_loop(w):
+    """Triplet CSV of a GossipMatrix, one f-string per stored entry in (row, col) order."""
+    coo = w.mat.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = ["row,col,weight"]
+    for idx in order:
+        lines.append(f"{coo.row[idx]},{coo.col[idx]},{float(coo.data[idx])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def circulant_factor_extended(c):
+    """max_{k != 0} |sum_u c_u exp(-2 pi i u k / n)|, summed term by term in long double."""
+    c = np.asarray(c, dtype=np.longdouble)
+    n = c.size
+    pi = np.arccos(np.longdouble(-1.0))
+    u = np.arange(n)
+    best = np.longdouble(0.0)
+    for k in range(1, n):
+        angle = 2 * pi * ((u * k) % n).astype(np.longdouble) / n
+        re, im = (c * np.cos(angle)).sum(), (c * np.sin(angle)).sum()
+        best = max(best, np.sqrt(re * re + im * im))
+    return best

@@ -1,6 +1,10 @@
+import functools
+
 import pytest
 
+import equitopo.cli
 from equitopo.cli import UsageError, main, parse_config
+from equitopo.spectral import consensus_factor
 
 
 def run_cli(argv, capsys=None):
@@ -72,6 +76,40 @@ def test_topo_build_writes_matrix_and_sidecar(tmp_path):
     assert float(v) > 0
 
 
+def read_meta(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+def test_topo_build_sidecar_names_exact_method(tmp_path):
+    out = tmp_path / "w.csv"
+    assert run_cli(["topo-build", "--family", "u-equistatic", "--n", "300", "--seed", "2",
+                    "--out", out]) == 0
+    meta = read_meta(tmp_path / "w.csv.meta")
+    assert meta["method"] == "circulant-fft"
+    assert 0.0 < float(meta["rho_tolerance"]) < 1e-12
+    assert "converged" not in meta
+
+
+def test_unconverged_factor_marked_and_sidecar_replays(tmp_path, monkeypatch):
+    out, replay = tmp_path / "g.csv", tmp_path / "replay.csv"
+    assert run_cli(["topo-build", "--family", "grid", "--n", "100", "--tol", "1e-300",
+                    "--out", out]) == 0
+    meta = read_meta(tmp_path / "g.csv.meta")
+    assert (meta["method"], meta["tol"], meta["rho_tolerance"]) == \
+        ("power-iteration", "1e-300", "1e-300")
+    assert "converged" not in meta   # the estimate repeated bit for bit before the cap
+    # no family reaches the cap from the command line, so cap the iteration here
+    monkeypatch.setattr(equitopo.cli, "consensus_factor",
+                        functools.partial(consensus_factor, max_iter=3))
+    assert run_cli(["topo-build", "--family", "grid", "--n", "100", "--tol", "1e-300",
+                    "--out", out]) == 0
+    meta = read_meta(tmp_path / "g.csv.meta")
+    assert meta["converged"] == "False"
+    assert float(meta["rho_tolerance"]) > 1e-300   # the residual reached at the cap
+    assert run_cli(["topo-build", "--config", str(out) + ".meta", "--out", replay]) == 0
+    assert out.read_bytes() == replay.read_bytes()
+
+
 def test_build_alias_matches_topo_build(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["topo-build", "--family", "ring", "--n", "9", "--out", a])
@@ -90,6 +128,8 @@ def test_topo_verify_static_line(tmp_path, capsys):
     assert parts[0] == "d-equistatic"
     assert int(parts[2]) == 57
     assert float(parts[4]) <= 0.5
+    assert parts[5:] == ["circulant-fft", "1"]
+    assert float(read_meta(tmp_path / "v.csv.meta")["rho_tolerance"]) < 1e-12
     assert "rho_measured" in capsys.readouterr().out
 
 
@@ -100,6 +140,7 @@ def test_topo_verify_dynamic_uses_monte_carlo(tmp_path):
     assert code == 0
     line = out.read_text().strip().splitlines()[1]
     assert ",monte-carlo,200" in line
+    assert float(read_meta(tmp_path / "v.csv.meta")["rho_tolerance"]) > 0.0   # its stderr
 
 
 def test_consensus_reproducible_from_sidecar(tmp_path):

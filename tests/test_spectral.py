@@ -4,7 +4,9 @@ from scipy import sparse
 
 import equitopo as eq
 
-from oracles import dense_consensus_factor
+from equitopo.spectral import _circulant_column
+
+from oracles import circulant_factor_extended, dense_consensus_factor
 
 
 def as_gossip(dense, family="custom"):
@@ -44,6 +46,95 @@ def test_power_iteration_matches_dense(family, n):
     assert abs(power_est.value - dense_est.value) <= 10 * tol * max(1.0, dense_est.value)
     # and both agree with the from-scratch projector oracle
     assert dense_est.value == pytest.approx(dense_consensus_factor(w.toarray()), abs=1e-12)
+
+
+def circulant_cases(n):
+    """One matrix of every kind that is circulant by construction, at size n."""
+    spec = eq.TopologySpec("d-equistatic", n, rho=0.9, seed=n)
+    try:
+        d, _ = eq.build_d_equistatic(spec)
+    except eq.ConstructionError as exc:   # tiny n may miss rho; the candidate is still circulant
+        d = exc.best_matrix
+    draws = eq.OdEquiDynSampler(eq.TopologySpec("od-equidyn", n, m=n - 1, seed=n),
+                                eq.complete_basis(n))
+    cases = {family: eq.build_topology(eq.TopologySpec(family, n))
+             for family in ("ring", "static-exp", "complete")}
+    cases.update({"d-equistatic": d, "u-equistatic": eq.build_u_equistatic(d)[0],
+                  "basis": eq.basis_matrix(1 + n // 3, n), "od-equidyn": draws.sample()})
+    return cases
+
+
+@pytest.mark.parametrize("n", list(range(3, 71)) + [257])
+def test_circulant_factor_is_exact(n):
+    for name, w in circulant_cases(n).items():
+        est = eq.consensus_factor(w)
+        assert (est.method, est.iterations_or_trials, est.converged) == \
+            ("circulant-fft", 1, True), name
+        assert 0.0 < est.tolerance_or_stderr <= 1e-12
+        assert abs(est.value - dense_consensus_factor(w.toarray())) <= 1e-12, name
+        exact = circulant_factor_extended(_circulant_column(w))
+        assert abs(est.value - exact) <= est.tolerance_or_stderr, name
+
+
+def with_stored_zero(dense, i, j):
+    """CSR of `dense` that also stores an explicit 0.0 at (i, j)."""
+    coo = sparse.coo_array(dense)
+    mat = sparse.coo_array((np.append(coo.data, 0.0), (np.append(coo.row, i),
+                                                       np.append(coo.col, j))),
+                           shape=dense.shape).tocsr()
+    mat.sort_indices()
+    assert mat.nnz == coo.nnz + 1
+    return eq.GossipMatrix(dense.shape[0], mat, "custom")
+
+
+def altered_circulants(n):
+    """Circulant d-equistatic matrices changed so that they are no longer circulant."""
+    w, _ = eq.build_d_equistatic(eq.TopologySpec("d-equistatic", n, rho=0.9, seed=7))
+    dense = w.toarray()
+    i, j = np.argwhere(dense[1:] > 0)[0] + (1, 0)
+    perturbed = dense.copy()
+    perturbed[i, j] += 1e-3
+    dropped = dense.copy()
+    dropped[i, j] = 0.0
+    swapped = dense[[1, 0] + list(range(2, n))]
+    assert not np.array_equal(swapped, dense)
+    # row 1 stores a zero where c is 0 instead of a weight off column 0: the count still fits c
+    moved = dense.copy()
+    moved[1, np.nonzero(dense[1, 1:])[0][-1] + 1] = 0.0
+    # row 0 stores one entry twice and drops another: the count and every value still fit c
+    mat = w.mat
+    data, indices = mat.data.copy(), mat.indices.copy()
+    data[1], indices[1] = data[0], indices[0]
+    duplicated = sparse.csr_array((data, indices, mat.indptr.copy()), shape=(n, n))
+    ou = eq.build_topology(eq.TopologySpec("ou-equidyn", n, m=n - 1, seed=3)).sample()
+    return {"perturbed": as_gossip(perturbed), "dropped": as_gossip(dropped),
+            "row-swapped": as_gossip(swapped),
+            "explicit-zero": with_stored_zero(dense, *np.argwhere(dense == 0.0)[0]),
+            "zero-moved": with_stored_zero(moved, 1, np.argwhere(dense[1] == 0.0)[0, 0]),
+            "duplicated": eq.GossipMatrix(n, duplicated, "custom"), "ou-equidyn": ou}
+
+
+@pytest.mark.parametrize("n", [25, 101])
+def test_non_circulant_falls_back(n):
+    expected = "dense-eig" if n <= 64 else "power-iteration"
+    for name, w in altered_circulants(n).items():
+        assert _circulant_column(w) is None, name
+        est = eq.consensus_factor(w)
+        assert est.method == expected, name
+        # ||(I - J) W v|| for a unit v never exceeds the norm, converged or not
+        assert est.value <= dense_consensus_factor(w.toarray()) + 1e-12, name
+
+
+@pytest.mark.parametrize("family,n", [
+    ("grid", 9), ("grid", 25), ("grid", 100), ("torus", 9), ("torus", 36), ("torus", 100),
+    ("hypercube", 8), ("hypercube", 32), ("hypercube", 128),
+])
+def test_lattice_baselines_fall_back(family, n):
+    w = eq.build_topology(eq.TopologySpec(family, n))
+    est = eq.consensus_factor(w)
+    assert est.method == ("dense-eig" if n <= 64 else "power-iteration")
+    assert est.converged
+    assert est.value == pytest.approx(dense_consensus_factor(w.toarray()), abs=1e-8)
 
 
 def test_factor_invariant_under_relabeling():

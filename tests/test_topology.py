@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equitopo as eq
-from equitopo.topology import EQUI_DYNAMIC_FAMILIES, FAMILIES, _average_of_basis
+from scipy import sparse
 
-from oracles import euclid_matching, hop_permutation, matched_node_count
+from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
+                               STATIC_FAMILIES, _average_of_basis)
+
+from oracles import euclid_matching, hop_permutation, matched_node_count, matrix_csv_loop
 
 
 def spec_for(family, n, **kw):
@@ -426,6 +429,43 @@ def test_matrix_csv_round_trip():
         r, c, v = line.split(",")
         rebuilt[int(r), int(c)] = float(v)
     assert np.array_equal(rebuilt, w.toarray())
+
+
+@pytest.mark.parametrize("family", STATIC_FAMILIES + DYNAMIC_FAMILIES)
+def test_matrix_csv_matches_loop_export(family):
+    for n in ({"grid": (16, 100), "torus": (16, 100), "hypercube": (16, 128)}
+              .get(family, (12, 97))):
+        topo = eq.build_topology(spec_for(family, n, m=None, seed=4))
+        w = topo.sample() if isinstance(topo, eq.DynSampler) else topo
+        assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+
+
+def test_matrix_csv_matches_loop_export_for_distinct_and_long_weights():
+    rng = np.random.default_rng(5)
+    a = rng.random((30, 30)) + 0.01
+    for _ in range(500):   # Sinkhorn: a non-circulant, doubly stochastic matrix
+        a /= a.sum(axis=0, keepdims=True)
+        a /= a.sum(axis=1, keepdims=True)
+    w = eq.GossipMatrix(30, sparse.csr_array(a), "custom")
+    assert np.unique(w.mat.data).size == 900
+    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+
+    # long reprs, and a stored -0.0 next to a stored 0.0: equal values, different text
+    weights = np.array([0.1 + 0.2, 1 / 3, 2 / 3, 1e-300, 5e-324, -0.0, 0.0, 0.1 + 0.2])
+    rows, cols = np.array([0, 0, 1, 1, 2, 3, 3, 4]), np.array([4, 1, 2, 0, 2, 3, 1, 0])
+    mat = sparse.coo_array((weights, (rows, cols)), shape=(6, 6)).tocsr()
+    mat.sort_indices()
+    w = eq.GossipMatrix(6, mat, "custom")
+    assert mat.nnz == 8
+    text = eq.matrix_csv_text(w)
+    assert text == matrix_csv_loop(w)
+    assert "3,1,0.0\n" in text and "3,3,-0.0\n" in text
+
+    unsorted = sparse.csr_array((mat.data.copy(), np.array([4, 1, 2, 0, 2, 3, 1, 0]),
+                                 mat.indptr.copy()), shape=(6, 6))
+    assert not unsorted.has_sorted_indices
+    w = eq.GossipMatrix(6, unsorted, "custom")
+    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
 
 
 def test_matrix_is_immutable():
