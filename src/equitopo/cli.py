@@ -147,59 +147,6 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="topo", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--seed", type=str, help="master seed")
-        p.add_argument("--family", type=str)
-        p.add_argument("--n", type=str)
-        p.add_argument("--rho", type=str)
-        p.add_argument("--p", type=str)
-        p.add_argument("--m", type=str)
-        p.add_argument("--eta", type=str)
-
-    for name in ("topo-build", "build"):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.add_argument("--tol", type=str)
-    for name in ("topo-verify", "verify"):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.add_argument("--trials", type=str)
-        p.add_argument("--tol", type=str)
-    p = sub.add_parser("consensus")
-    add_common(p)
-    p.add_argument("--iters", type=str)
-    p.add_argument("--trials", type=str)
-    p = sub.add_parser("size-sweep")
-    add_common(p)
-    p.add_argument("--sizes", type=str)
-    p.add_argument("--iters", type=str)
-    p.add_argument("--trials", type=str)
-    p.add_argument("--m-log-scale", type=str)
-    for name in ("dsgd", "dsgt"):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.add_argument("--iters", type=str)
-        p.add_argument("--trials", type=str)
-        p.add_argument("--problem", type=str)
-        p.add_argument("--d", type=str)
-        p.add_argument("--samples", type=str)
-        p.add_argument("--sigma-s", type=str)
-        p.add_argument("--sigma-n", type=str)
-        p.add_argument("--sigma-h", type=str)
-        p.add_argument("--reg", type=str)
-        p.add_argument("--gamma0", type=str)
-        p.add_argument("--decay-factor", type=str)
-        p.add_argument("--decay-period", type=str)
-    return parser
-
-
 _REQUIRED = {
     "topo-build": ("family", "n"),
     "topo-verify": ("family", "n"),
@@ -208,6 +155,32 @@ _REQUIRED = {
     "dsgd": ("family", "n", "iters"),
     "dsgt": ("family", "n", "iters"),
 }
+# fields every command takes as flags, then each command's own; values stay
+# strings until `_coerce`
+_COMMON_FLAGS = ("seed", "family", "n", "rho", "p", "m", "eta")
+_OPTIM_FLAGS = ("iters", "trials", "problem", "d", "samples", "sigma_s", "sigma_n",
+                "sigma_h", "reg", "gamma0", "decay_factor", "decay_period")
+_FLAGS = {
+    "topo-build": ("tol",),
+    "topo-verify": ("trials", "tol"),
+    "consensus": ("iters", "trials"),
+    "size-sweep": ("sizes", "iters", "trials", "m_log_scale"),
+    "dsgd": _OPTIM_FLAGS,
+    "dsgt": _OPTIM_FLAGS,
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="topo", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command")
+    for name in COMMANDS + tuple(ALIASES):
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="output CSV path")
+        for key in _COMMON_FLAGS + _FLAGS[ALIASES.get(name, name)]:
+            p.add_argument("--" + key.replace("_", "-"))
+    return parser
 
 
 def parse_config(argv) -> ExperimentConfig:

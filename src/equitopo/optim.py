@@ -241,9 +241,6 @@ class OptTrace:
     def diverged(self) -> bool:
         return len(self.diverged_trials) > 0
 
-    def series(self, key: str, trial: int) -> np.ndarray:
-        return self.records[trial][key]
-
     def csv_text(self) -> str:
         lines = ["algo,family,n,trial,iter,grad_norm_sq,loss,consensus_residual"]
         for trial, rec in enumerate(self.records):

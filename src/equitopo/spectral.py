@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .seeds import make_rng
-from .topology import DynSampler, GossipMatrix
+from .topology import DynSampler, GossipMatrix, _circulant_column
 
 DENSE_CUTOFF = 64
 POWER_TOL = 1e-10
@@ -44,30 +44,20 @@ def _center(x: np.ndarray) -> np.ndarray:
     return x - x.mean()
 
 
-def _dense_factor(w: GossipMatrix) -> float:
+def _dense_factor(w: GossipMatrix) -> ConsensusEstimate:
+    """Largest singular value of the centered dense matrix B = (I - J) A (I - J).
+
+    The computed singular values are exact for a perturbation of B of norm
+    p(n) eps ||B|| (backward stability of the SVD; Golub & Van Loan, Matrix
+    Computations, Sec. 8.6), and no singular value moves by more than that
+    norm (Weyl).  The tolerance takes p(n) = n and ||A||_F >= ||B||_F, which
+    also covers the centering's rounding and stays above 0 when B vanishes.
+    """
     a = w.toarray()
     b = a - a.mean(axis=0, keepdims=True)   # (I - J) A
     b -= b.mean(axis=1, keepdims=True)      # ... (I - J)
-    return float(np.linalg.svd(b, compute_uv=False)[0])
-
-
-def _circulant_column(w: GossipMatrix) -> np.ndarray | None:
-    """Column 0 of `w` when w[i, j] == c[(i - j) % n] for every i, j; else None.
-
-    Every stored entry must be non-zero and match c, and the stored count must
-    be n times the support of c; with no duplicate entries that leaves no
-    stored or missing position outside the circulant pattern.
-    """
-    mat, n = w.mat, w.n
-    if not mat.has_canonical_format or not np.all(mat.data):
-        return None
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    on_col0 = mat.indices == 0
-    c = np.zeros(n)
-    c[rows[on_col0]] = mat.data[on_col0]
-    if mat.nnz != n * np.count_nonzero(c):
-        return None
-    return c if np.array_equal(mat.data, c[(rows - mat.indices) % n]) else None
+    bound = w.n * float(np.finfo(float).eps) * float(np.linalg.norm(a))
+    return ConsensusEstimate(float(np.linalg.svd(b, compute_uv=False)[0]), "dense-eig", 1, bound)
 
 
 def _circulant_factor(c: np.ndarray) -> ConsensusEstimate:
@@ -102,7 +92,7 @@ def consensus_factor(w: GossipMatrix, tol: float = POWER_TOL, method: str = "aut
             return _circulant_factor(c)
         method = "dense-eig" if w.n <= DENSE_CUTOFF else "power-iteration"
     if method == "dense-eig":
-        return ConsensusEstimate(_dense_factor(w), "dense-eig", 1, 0.0)
+        return _dense_factor(w)
     if method != "power-iteration":
         raise ParameterError(f"unknown method {method!r}")
 

@@ -1,13 +1,18 @@
 """Construction of doubly-stochastic gossip matrices.
 
-Two groups of topologies are provided:
+Every family is built from one of three representations, each written
+straight into CSR by one builder:
 
-* circulant-basis families: a static directed matrix obtained by averaging
-  M one-peer shift graphs ("d-equistatic"), its symmetrization
-  ("u-equistatic"), and per-iteration one-peer samplers drawn from the same
-  basis ("od-equidyn", "ou-equidyn", "ou-equidyn-euclid");
-* classical baselines: ring, grid, torus, hypercube, static exponential,
-  one-peer exponential, complete.
+* a circulant column c, W[i, j] = c[(i - j) % n], one weight per shift
+  (`_circulant`, read back by `_circulant_column`): "d-equistatic", the
+  average of M one-peer shift graphs; its symmetrization "u-equistatic";
+  and the baselines ring, static exponential and complete;
+* a partner array, node i mixing with partner[i] and an idle node pointing
+  to itself (`_one_peer`): every basis matrix and every draw of the one-peer
+  samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and one-peer
+  exponential;
+* a uniform-weight undirected edge set (`_uniform_undirected`): grid, torus
+  and hypercube.
 
 Node labels are 1-based at the interface (see `mod_n`); matrix storage is
 0-based CSR.  Constructed matrices are immutable and safe to share across
@@ -20,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .errors import ConstructionError, ParameterError
@@ -69,9 +75,6 @@ class GossipMatrix:
 
     def col_sums(self) -> np.ndarray:
         return np.asarray(self.mat.sum(axis=0)).ravel()
-
-    def dot(self, x):
-        return self.mat @ x
 
     def __matmul__(self, x):
         return self.mat @ x
@@ -139,14 +142,6 @@ def _check_basis_value(u: int, n: int) -> None:
         raise ParameterError(f"shift {u} outside [1, {n - 1}]")
 
 
-def _to_matrix(rows, cols, vals, n, family, basis_index=None) -> GossipMatrix:
-    mat = sparse.coo_array((np.asarray(vals, float), (np.asarray(rows), np.asarray(cols))),
-                           shape=(n, n)).tocsr()
-    mat.sort_indices()
-    return GossipMatrix(n=n, mat=mat, family=family,
-                        basis_index=tuple(basis_index) if basis_index is not None else None)
-
-
 def _one_peer(src, off, diag, family, basis_index=None) -> GossipMatrix:
     """One-peer matrix from its partner array, built straight into sorted CSR.
 
@@ -184,21 +179,43 @@ def basis_matrix(u: int, n: int) -> GossipMatrix:
     return _one_peer((np.arange(n) - u) % n, 1.0 - 1.0 / n, 1.0 / n, "basis", (u,))
 
 
-def _average_of_basis(values: tuple[int, ...], n: int) -> sparse.csr_array:
-    # counts aggregated per shift so repeated values cost nothing extra
-    m = len(values)
-    counts = np.bincount(values, minlength=n)
-    us = np.nonzero(counts[1:])[0] + 1
-    j = np.arange(n)
-    rows = ((j[None, :] + us[:, None]) % n).ravel()
-    cols = np.tile(j, len(us))
-    vals = np.repeat(counts[us] * ((1.0 - 1.0 / n) / m), n)
-    rows = np.concatenate([rows, j])
-    cols = np.concatenate([cols, j])
-    vals = np.concatenate([vals, np.full(n, 1.0 / n)])
-    mat = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    mat.sort_indices()
-    return mat
+def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
+    """Circulant matrix W[i, j] = c[(i - j) % n], built straight into sorted CSR.
+
+    Row i stores the support S of c at columns (i - u) % n.  Walking S from
+    the largest shift down gives ascending columns i - u for u <= i; the
+    shifts above i land on columns above i, so they rotate to the row's end.
+    The rows from one shift up to the next share one rotation.
+    """
+    n = c.size
+    shifts = np.flatnonzero(c)
+    k = shifts.size
+    rotations = sliding_window_view(np.tile(shifts[::-1], 2), k)[k::-1]
+    order = np.repeat(rotations, np.diff(shifts, prepend=0, append=n), axis=0)
+    data = c[order].ravel()
+    indices = np.subtract(np.arange(n)[:, None], order, out=order)
+    np.add(indices, n, out=indices, where=indices < 0)
+    mat = sparse.csr_array((data, indices.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
+    return GossipMatrix(n, mat, family, basis_index)
+
+
+def _circulant_column(w: GossipMatrix) -> np.ndarray | None:
+    """Column 0 of `w` when w[i, j] == c[(i - j) % n] for every i, j; else None.
+
+    Every stored entry must be non-zero and match c, and the stored count must
+    be n times the support of c; with no duplicate entries that leaves no
+    stored or missing position outside the circulant pattern.
+    """
+    mat, n = w.mat, w.n
+    if not mat.has_canonical_format or not np.all(mat.data):
+        return None
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    on_col0 = mat.indices == 0
+    c = np.zeros(n)
+    c[rows[on_col0]] = mat.data[on_col0]
+    if mat.nnz != n * np.count_nonzero(c):
+        return None
+    return c if np.array_equal(mat.data, c[(rows - mat.indices) % n]) else None
 
 
 def build_d_equistatic(spec: TopologySpec, rng=None) -> tuple[GossipMatrix, BasisIndex]:
@@ -217,7 +234,9 @@ def build_d_equistatic(spec: TopologySpec, rng=None) -> tuple[GossipMatrix, Basi
     best_w, best_value = None, np.inf
     for _ in range(RESAMPLE_CAP):
         values = tuple(int(v) for v in rng.integers(1, n, size=m))
-        w = GossipMatrix(n, _average_of_basis(values, n), "d-equistatic", values)
+        c = np.bincount(values, minlength=n) * ((1.0 - 1.0 / n) / m)
+        c[0] = 1.0 / n
+        w = _circulant(c, "d-equistatic", values)
         est = consensus_factor(w)
         if est.converged and est.value <= spec.rho:
             return w, BasisIndex(values, n)
@@ -232,16 +251,19 @@ def build_d_equistatic(spec: TopologySpec, rng=None) -> tuple[GossipMatrix, Basi
 def build_u_equistatic(w: GossipMatrix) -> tuple[GossipMatrix, BasisIndex]:
     """Symmetrize a directed equi-static matrix: (W + W^T) / 2.
 
-    The result keeps the doubly-stochastic property, is symmetric, and its
-    basis index gains the reverse shift n - u for every original u.  Its
-    consensus factor never exceeds the input's.
+    W^T is the circulant of c[-k % n], so the result is the circulant of
+    (c + c[-k % n]) / 2.  It keeps the doubly-stochastic property, is
+    symmetric, and its basis index gains the reverse shift n - u for every
+    original u.  Its consensus factor never exceeds the input's.
     """
     if w.basis_index is None:
         raise ParameterError("input matrix carries no basis index")
-    mat = ((w.mat + w.mat.T) * 0.5).tocsr()
-    mat.sort_indices()
+    c = _circulant_column(w)
+    if c is None:
+        raise ParameterError("input matrix is not circulant")
     signed = BasisIndex(w.basis_index, w.n).with_reversals()
-    return GossipMatrix(w.n, mat, "u-equistatic", signed.values), signed
+    c = (c + c[-np.arange(w.n) % w.n]) * 0.5
+    return _circulant(c, "u-equistatic", signed.values), signed
 
 
 def _check_start(v: int, s: int, n: int) -> None:
@@ -412,11 +434,10 @@ def _uniform_undirected(edges: set[tuple[int, int]], n: int, family: str) -> Gos
     rows += list(range(n))
     cols += list(range(n))
     vals += list(1.0 - deg * w)
-    return _to_matrix(rows, cols, vals, n, family)
-
-
-def _ring_edges(n: int) -> set[tuple[int, int]]:
-    return {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    mat = sparse.coo_array((np.asarray(vals, float), (np.asarray(rows), np.asarray(cols))),
+                           shape=(n, n)).tocsr()
+    mat.sort_indices()
+    return GossipMatrix(n, mat, family)
 
 
 def _lattice_edges(m: int, periodic: bool) -> set[tuple[int, int]]:
@@ -441,7 +462,11 @@ def build_baseline(spec: TopologySpec) -> GossipMatrix | DynSampler:
     """Standard matrix (static families) or cycling sampler (one-peer-exp)."""
     n, family = spec.n, spec.family
     if family == "ring":
-        return _uniform_undirected(_ring_edges(n), n, family)
+        deg = 1 if n == 2 else 2
+        c = np.zeros(n)
+        c[1] = c[-1] = 1.0 / (deg + 1.0)
+        c[0] = 1.0 - deg * c[1]
+        return _circulant(c, family)
     if family in ("grid", "torus"):
         m = math.isqrt(n)
         if m * m != n:
@@ -455,15 +480,11 @@ def build_baseline(spec: TopologySpec) -> GossipMatrix | DynSampler:
         return _uniform_undirected(edges, n, family)
     if family == "static-exp":
         hops = [2**k for k in range(int(math.log2(n - 1)) + 1)]
-        w = 1.0 / (len(hops) + 1.0)
-        j = np.arange(n)
-        rows = np.concatenate([(j + h) % n for h in hops] + [j])
-        cols = np.concatenate([j] * (len(hops) + 1))
-        vals = np.full((len(hops) + 1) * n, w)
-        return _to_matrix(rows, cols, vals, n, family)
+        c = np.zeros(n)
+        c[0] = c[hops] = 1.0 / (len(hops) + 1.0)
+        return _circulant(c, family)
     if family == "complete":
-        mat = sparse.csr_array(np.full((n, n), 1.0 / n))
-        return GossipMatrix(n, mat, family)
+        return _circulant(np.full(n, 1.0 / n), family)
     if family == "one-peer-exp":
         return OnePeerExpSampler(spec)
     raise ParameterError(f"{family!r} is not a baseline family")

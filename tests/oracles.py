@@ -4,13 +4,14 @@ These deliberately avoid the package's own code paths: gradients are checked
 against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
 dense SVD with explicit centering matrices or a long-double DFT, one-peer
-draws against dense matrices built node by node, and the CSV export against
-a per-entry formatting loop.
+draws against dense matrices built node by node, circulant matrices against
+COO assembly, and the CSV export against a per-entry formatting loop.
 """
 
 import math
 
 import numpy as np
+from scipy import sparse
 
 
 def central_difference_gradient(f, x, h=1e-5):
@@ -72,6 +73,19 @@ def euclid_matching(v, s, n):
 def hop_permutation(hop, n):
     """P^hop for the cyclic shift P that sends node j to node j + 1 (mod n)."""
     return np.linalg.matrix_power(np.roll(np.eye(n), 1, axis=0), hop)
+
+
+def circulant_coo(c):
+    """W[i, j] = c[(i - j) % n] assembled from COO triplets, one per non-zero c_u and column j."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    u = np.flatnonzero(c)
+    j = np.arange(n)
+    rows = ((j[None, :] + u[:, None]) % n).ravel()
+    cols = np.tile(j, u.size)
+    mat = sparse.coo_array((np.repeat(c[u], n), (rows, cols)), shape=(n, n)).tocsr()
+    mat.sort_indices()
+    return mat
 
 
 def matrix_csv_loop(w):

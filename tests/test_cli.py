@@ -60,6 +60,52 @@ def test_sizes_parsing():
     assert cfg.sizes == (9, 16, 25)
 
 
+# one raw flag value per field and the value it must parse into
+FLAG_VALUES = {
+    "seed": ("7", 7), "family": ("ring", "ring"), "n": ("9", 9), "rho": ("0.25", 0.25),
+    "p": ("0.3", 0.3), "m": ("4", 4), "eta": ("0.7", 0.7), "tol": ("1e-9", 1e-9),
+    "trials": ("5", 5), "iters": ("6", 6), "sizes": ("9,16", (9, 16)),
+    "m_log_scale": ("2.5", 2.5), "problem": ("least-squares", "least-squares"),
+    "d": ("3", 3), "samples": ("11", 11), "sigma_s": ("0.05", 0.05),
+    "sigma_n": ("0.5", 0.5), "sigma_h": ("0.4", 0.4), "reg": ("0.01", 0.01),
+    "gamma0": ("0.2", 0.2), "decay_factor": ("2.0", 2.0), "decay_period": ("10", 10),
+    "out": ("x.csv", "x.csv"),
+}
+COMMON = {"seed", "family", "n", "rho", "p", "m", "eta", "out"}
+OPTIM = COMMON | {"iters", "trials", "problem", "d", "samples", "sigma_s", "sigma_n",
+                  "sigma_h", "reg", "gamma0", "decay_factor", "decay_period"}
+ACCEPTED = {
+    "topo-build": COMMON | {"tol"}, "build": COMMON | {"tol"},
+    "topo-verify": COMMON | {"trials", "tol"}, "verify": COMMON | {"trials", "tol"},
+    "consensus": COMMON | {"iters", "trials"},
+    "size-sweep": COMMON | {"sizes", "iters", "trials", "m_log_scale"},
+    "dsgd": OPTIM, "dsgt": OPTIM,
+}
+
+
+def flag_argv(fields):
+    return [arg for key in sorted(fields)
+            for arg in ("--" + key.replace("_", "-"), FLAG_VALUES[key][0])]
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_every_accepted_flag_reaches_its_field(command):
+    cfg = parse_config([command, *flag_argv(ACCEPTED[command])])
+    for key in ACCEPTED[command]:
+        assert getattr(cfg, key) == FLAG_VALUES[key][1], key
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_flags_of_other_commands_rejected(command):
+    for key in set(FLAG_VALUES) - ACCEPTED[command]:
+        with pytest.raises(UsageError):
+            parse_config([command, *flag_argv(ACCEPTED[command]), *flag_argv({key})])
+
+
+def test_topo_build_rejects_iters():
+    assert run_cli(["topo-build", "--family", "ring", "--n", "9", "--iters", "3"]) == 2
+
+
 def test_topo_build_writes_matrix_and_sidecar(tmp_path):
     out = tmp_path / "w.csv"
     code = run_cli(["topo-build", "--family", "d-equistatic", "--n", "20",

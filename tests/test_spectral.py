@@ -4,7 +4,7 @@ from scipy import sparse
 
 import equitopo as eq
 
-from equitopo.spectral import _circulant_column
+from equitopo.topology import _circulant_column
 
 from oracles import circulant_factor_extended, dense_consensus_factor
 
@@ -135,6 +135,30 @@ def test_lattice_baselines_fall_back(family, n):
     assert est.method == ("dense-eig" if n <= 64 else "power-iteration")
     assert est.converged
     assert est.value == pytest.approx(dense_consensus_factor(w.toarray()), abs=1e-8)
+
+
+def lattice_factor(m, periodic):
+    """Closed form for W = I - L / 5 on the m x m torus or grid (m >= 3).
+
+    The Laplacian of the cycle (path) on m nodes has eigenvalues
+    2 - 2 cos(2 pi a / m) (2 - 2 cos(pi a / m)), and L is their Kronecker sum.
+    """
+    theta = (2.0 if periodic else 1.0) * np.pi * np.arange(m) / m
+    lam = np.abs(1.0 + 2.0 * np.cos(theta)[:, None] + 2.0 * np.cos(theta)[None, :]) / 5.0
+    lam[0, 0] = 0.0   # the consensus direction
+    return float(lam.max())
+
+
+@pytest.mark.parametrize("family,n,exact", [
+    *[("hypercube", 2**k, (k - 1) / (k + 1)) for k in range(2, 7)],
+    *[("torus", m * m, lattice_factor(m, True)) for m in range(3, 9)],
+    *[("grid", m * m, lattice_factor(m, False)) for m in range(3, 9)],
+])
+def test_dense_eig_tolerance_covers_closed_form(family, n, exact):
+    est = eq.consensus_factor(eq.build_topology(eq.TopologySpec(family, n)))
+    assert est.method == "dense-eig"
+    assert 0.0 < est.tolerance_or_stderr <= 1e-12
+    assert abs(est.value - exact) <= est.tolerance_or_stderr
 
 
 def test_factor_invariant_under_relabeling():

@@ -9,9 +9,10 @@ import equitopo as eq
 from scipy import sparse
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, _average_of_basis)
+                               STATIC_FAMILIES, _circulant, _circulant_column)
 
-from oracles import euclid_matching, hop_permutation, matched_node_count, matrix_csv_loop
+from oracles import (circulant_coo, euclid_matching, hop_permutation, matched_node_count,
+                     matrix_csv_loop)
 
 
 def spec_for(family, n, **kw):
@@ -84,10 +85,16 @@ def test_default_basis_count_example():
     assert eq.default_basis_count(300, 0.5, 0.5) == 76
 
 
+def uniform_shift_average(n):
+    """The circulant average of every shift 1..n-1, as d-equistatic builds it."""
+    c = np.full(n, (1.0 - 1.0 / n) / (n - 1))
+    c[0] = 1.0 / n
+    return _circulant(c, "d-equistatic", tuple(range(1, n)))
+
+
 def test_complete_basis_average_is_uniform():
     n = 9
-    mat = _average_of_basis(tuple(range(1, n)), n)
-    assert np.abs(mat.toarray() - 1.0 / n).max() <= 1e-15
+    assert np.abs(uniform_shift_average(n).toarray() - 1.0 / n).max() <= 1e-15
 
 
 def test_build_d_equistatic_meets_target():
@@ -142,10 +149,74 @@ def test_build_u_equistatic_symmetrizes():
 
 def test_build_u_equistatic_of_uniform_is_uniform():
     n = 8
-    w = eq.GossipMatrix(n, _average_of_basis(tuple(range(1, n)), n), "d-equistatic",
-                        tuple(range(1, n)))
-    wu, _ = eq.build_u_equistatic(w)
+    wu, _ = eq.build_u_equistatic(uniform_shift_average(n))
     assert np.abs(wu.toarray() - 1.0 / n).max() <= 1e-15
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, database=None)
+def test_circulant_matches_coo_assembly(data):
+    n = data.draw(st.integers(2, 300), label="n")
+    support = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 40)),
+                        label="support")
+    if data.draw(st.booleans(), label="with diagonal"):
+        support.add(0)
+    elif support != {0}:
+        support.discard(0)
+    c = np.zeros(n)
+    for u in sorted(support):
+        c[u] = data.draw(st.floats(0.0, 1.0, exclude_min=True), label=f"c[{u}]")
+    w = _circulant(c, "circulant")
+    assert_same_csr(w.mat, circulant_coo(c))
+    assert w.mat.has_canonical_format
+    assert _circulant_column(w).tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33, 100])
+@pytest.mark.parametrize("family", ["d-equistatic", "u-equistatic", "ring", "static-exp",
+                                    "complete"])
+def test_circulant_families_match_coo_assembly(family, n):
+    w = eq.build_topology(eq.TopologySpec(family, n, rho=0.9, seed=n))
+    c = _circulant_column(w)
+    assert c is not None
+    assert_same_csr(w.mat, circulant_coo(c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 100])
+def test_circulant_baselines_match_their_definitions(n):
+    ring = np.zeros((n, n))
+    deg = 1 if n == 2 else 2
+    for i in range(n):   # each neighbour gets 1 / (deg + 1); the diagonal keeps the rest
+        ring[i, (i + 1) % n] = ring[i, (i - 1) % n] = 1.0 / (deg + 1.0)
+        ring[i, i] = 1.0 - deg * (1.0 / (deg + 1.0))
+    hops = [2**k for k in range(int(math.log2(n - 1)) + 1)]
+    static_exp = np.zeros((n, n))
+    for j in range(n):
+        for h in [0] + hops:
+            static_exp[(j + h) % n, j] = 1.0 / (len(hops) + 1.0)
+    expected = {"ring": ring, "static-exp": static_exp, "complete": np.full((n, n), 1.0 / n)}
+    for family, dense in expected.items():
+        w = eq.build_topology(eq.TopologySpec(family, n))
+        assert w.toarray().tobytes() == dense.tobytes(), family
+
+
+def test_u_equistatic_matches_sparse_symmetrization():
+    w, _ = eq.build_d_equistatic(eq.TopologySpec("d-equistatic", 41, rho=0.9, seed=5))
+    expected = ((w.mat + w.mat.T) * 0.5).tocsr()
+    expected.sort_indices()
+    assert_same_csr(eq.build_u_equistatic(w)[0].mat, expected)
+
+
+def test_u_equistatic_rejects_non_circulant():
+    grid = eq.build_topology(eq.TopologySpec("grid", 16))
+    with pytest.raises(eq.ParameterError, match="circulant"):
+        eq.build_u_equistatic(eq.GossipMatrix(16, grid.mat, "grid", (1,)))
 
 
 # ---------------------------------------------------------------- od-equidyn
