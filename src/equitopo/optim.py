@@ -7,7 +7,9 @@ adds an auxiliary Y that follows the average gradient:
     X <- W (X - gamma Y),   Y <- W Y + G_new - G_old,   Y0 = G0.
 
 Both synthetic problem generators expose exact gradients, a noisy gradient
-oracle (exact + Gaussian noise), and the global loss.
+oracle (exact + Gaussian noise), and the global loss.  Every per-iteration
+contraction over the stacked data is a BLAS matrix product, and each logistic
+term costs one `exp` (`_softplus_neg`, `_expit_neg`).
 """
 
 from __future__ import annotations
@@ -15,13 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError
 from .seeds import derive_seed, make_rng
 from .topology import DYNAMIC_FAMILIES, GossipMatrix, TopologySpec, build_topology
 
 ALGORITHMS = ("dsgd", "dsgt")
+
+
+def _softplus_neg(m: np.ndarray) -> np.ndarray:
+    """ln(1 + e^{-m}) elementwise, as max(-m, 0) + ln(1 + e^{-|m|}): nothing overflows."""
+    with np.errstate(under="ignore"):
+        return np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+
+
+def _expit_neg(m: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^{m}) elementwise with one exp; for m > 709 it overflows to the exact limit 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(m))
 
 
 class LeastSquaresProblem:
@@ -47,16 +60,16 @@ class LeastSquaresProblem:
         return float(r @ r) / (2.0 * self.k_samples)
 
     def loss(self, x: np.ndarray) -> float:
-        r = np.einsum("nkd,d->nk", self.a, x) - self.b
-        return float(np.mean(r * r)) / 2.0
+        r = (self.a @ x - self.b).ravel()
+        return float(r @ r) / (2.0 * r.size)
 
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
         r = self.a[i] @ x - self.b[i]
         return (self.a[i].T @ r) / self.k_samples
 
     def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
-        r = np.einsum("nkd,nd->nk", self.a, x_rows) - self.b
-        return np.einsum("nkd,nk->nd", self.a, r) / self.k_samples
+        r = (self.a @ x_rows[:, :, None])[:, :, 0] - self.b
+        return (r[:, None, :] @ self.a)[:, 0, :] / self.k_samples
 
     def stoch_grad(self, i: int, x: np.ndarray, rng) -> np.ndarray:
         g = self.grad(i, x)
@@ -71,8 +84,8 @@ class LeastSquaresProblem:
         return g
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
-        r = np.einsum("nkd,d->nk", self.a, x) - self.b
-        return np.einsum("nkd,nk->d", self.a, r) / (self.n * self.k_samples)
+        r = self.a @ x - self.b
+        return (r.ravel() @ self.a.reshape(-1, self.d)) / (self.n * self.k_samples)
 
 
 def make_least_squares(n: int, d: int, k_samples: int, sigma_s: float, sigma_n: float,
@@ -110,21 +123,21 @@ class LogisticProblem:
 
     def local_loss(self, i: int, x: np.ndarray) -> float:
         margin = self.y[i] * (self.h[i] @ x)
-        return float(np.mean(np.logaddexp(0.0, -margin))) + self._reg_loss(x)
+        return float(np.mean(_softplus_neg(margin))) + self._reg_loss(x)
 
     def loss(self, x: np.ndarray) -> float:
-        margin = self.y * np.einsum("nld,d->nl", self.h, x)
-        return float(np.mean(np.logaddexp(0.0, -margin))) + self._reg_loss(x)
+        margin = self.y * (self.h @ x)
+        return float(np.mean(_softplus_neg(margin))) + self._reg_loss(x)
 
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
         margin = self.y[i] * (self.h[i] @ x)
-        coef = self.y[i] * expit(-margin)
+        coef = self.y[i] * _expit_neg(margin)
         return -(self.h[i].T @ coef) / self.l_samples + self._reg_grad(x)
 
     def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
-        margin = self.y * np.einsum("nld,nd->nl", self.h, x_rows)
-        coef = self.y * expit(-margin)
-        data = -np.einsum("nld,nl->nd", self.h, coef) / self.l_samples
+        margin = self.y * (self.h @ x_rows[:, :, None])[:, :, 0]
+        coef = self.y * _expit_neg(margin)
+        data = -(coef[:, None, :] @ self.h)[:, 0, :] / self.l_samples
         return data + self._reg_grad(x_rows)
 
     def stoch_grad(self, i: int, x: np.ndarray, rng) -> np.ndarray:
@@ -140,9 +153,9 @@ class LogisticProblem:
         return g
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
-        margin = self.y * np.einsum("nld,d->nl", self.h, x)
-        coef = self.y * expit(-margin)
-        data = -np.einsum("nld,nl->d", self.h, coef) / (self.n * self.l_samples)
+        margin = self.y * (self.h @ x)
+        coef = self.y * _expit_neg(margin)
+        data = -(coef.ravel() @ self.h.reshape(-1, self.d)) / (self.n * self.l_samples)
         return data + self._reg_grad(x)
 
 

@@ -11,7 +11,7 @@ straight into CSR by one builder:
   to itself (`_one_peer`): every basis matrix and every draw of the one-peer
   samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and one-peer
   exponential;
-* a uniform-weight undirected edge set (`_uniform_undirected`): grid, torus
+* uniform-weight undirected edge arrays (`_uniform_undirected`): grid, torus
   and hypercube.
 
 Node labels are 1-based at the interface (see `mod_n`); matrix storage is
@@ -415,47 +415,37 @@ class OnePeerExpSampler(DynSampler):
         return w
 
 
-def _uniform_undirected(edges: set[tuple[int, int]], n: int, family: str) -> GossipMatrix:
-    """Symmetric matrix with one uniform edge weight 1/(max_degree + 1).
+def _uniform_undirected(i: np.ndarray, j: np.ndarray, n: int, family: str) -> GossipMatrix:
+    """Symmetric matrix on the edges (i[e], j[e]), i < j, none repeated, weight 1/(max_degree + 1).
 
     The diagonal absorbs the remainder, which keeps the matrix doubly
     stochastic even when node degrees differ (e.g. grid borders).
     """
-    deg = np.zeros(n, dtype=int)
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
+    deg = np.bincount(np.concatenate([i, j]), minlength=n)
     w = 1.0 / (deg.max() + 1.0)
-    rows, cols, vals = [], [], []
-    for i, j in edges:
-        rows += [i, j]
-        cols += [j, i]
-        vals += [w, w]
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(1.0 - deg * w)
-    mat = sparse.coo_array((np.asarray(vals, float), (np.asarray(rows), np.asarray(cols))),
-                           shape=(n, n)).tocsr()
-    mat.sort_indices()
+    diag = np.arange(n)
+    rows, cols = np.concatenate([i, j, diag]), np.concatenate([j, i, diag])
+    vals = np.concatenate([np.full(2 * i.size, w), 1.0 - deg * w])
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg + 1, out=indptr[1:])
+    mat = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
     return GossipMatrix(n, mat, family)
 
 
-def _lattice_edges(m: int, periodic: bool) -> set[tuple[int, int]]:
-    edges = set()
-    for a in range(m):
-        for bb in range(m):
-            i = a * m + bb
-            steps = [(a + 1, bb), (a, bb + 1)]
-            for aa, cc in steps:
-                if periodic:
-                    j = (aa % m) * m + (cc % m)
-                elif aa < m and cc < m:
-                    j = aa * m + cc
-                else:
-                    continue
-                if i != j:
-                    edges.add((min(i, j), max(i, j)))
-    return edges
+def _lattice_edges(m: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (i, j), i < j, of the m x m grid or torus on nodes a * m + b."""
+    node = np.arange(m * m).reshape(m, m)
+    if periodic:
+        ends = [(node, np.roll(node, -1, axis=0)), (node, np.roll(node, -1, axis=1))]
+    else:
+        ends = [(node[:-1], node[1:]), (node[:, :-1], node[:, 1:])]
+    i = np.concatenate([a.ravel() for a, _ in ends])
+    j = np.concatenate([b.ravel() for _, b in ends])
+    edges = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)[i != j]
+    if periodic and m <= 2:  # both neighbours along an axis are the same node
+        edges = np.unique(edges, axis=0)
+    return edges[:, 0], edges[:, 1]
 
 
 def build_baseline(spec: TopologySpec) -> GossipMatrix | DynSampler:
@@ -471,13 +461,14 @@ def build_baseline(spec: TopologySpec) -> GossipMatrix | DynSampler:
         m = math.isqrt(n)
         if m * m != n:
             raise ParameterError(f"{family} requires n to be a perfect square, got {n}")
-        return _uniform_undirected(_lattice_edges(m, periodic=(family == "torus")), n, family)
+        return _uniform_undirected(*_lattice_edges(m, periodic=(family == "torus")), n, family)
     if family == "hypercube":
         if n & (n - 1) != 0:
             raise ParameterError(f"hypercube requires n to be a power of 2, got {n}")
-        k = n.bit_length() - 1
-        edges = {(i, i ^ (1 << bit)) for i in range(n) for bit in range(k) if i < i ^ (1 << bit)}
-        return _uniform_undirected(edges, n, family)
+        i = np.arange(n)[:, None]
+        j = i ^ (1 << np.arange(n.bit_length() - 1))
+        up = i < j
+        return _uniform_undirected(np.broadcast_to(i, j.shape)[up], j[up], n, family)
     if family == "static-exp":
         hops = [2**k for k in range(int(math.log2(n - 1)) + 1)]
         c = np.zeros(n)

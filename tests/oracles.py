@@ -5,13 +5,16 @@ against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
 dense SVD with explicit centering matrices or a long-double DFT, one-peer
 draws against dense matrices built node by node, circulant matrices against
-COO assembly, and the CSV export against a per-entry formatting loop.
+COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
+CSV export against a per-entry formatting loop, and the problem kernels
+against their einsum/logaddexp/expit forms.
 """
 
 import math
 
 import numpy as np
 from scipy import sparse
+from scipy.special import expit
 
 
 def central_difference_gradient(f, x, h=1e-5):
@@ -110,3 +113,90 @@ def circulant_factor_extended(c):
         re, im = (c * np.cos(angle)).sum(), (c * np.sin(angle)).sum()
         best = max(best, np.sqrt(re * re + im * im))
     return best
+
+
+def lattice_edge_set(m, periodic):
+    """Undirected edges (min, max) of the m x m grid or torus on nodes a * m + b, as a set."""
+    edges = set()
+    for a in range(m):
+        for bb in range(m):
+            i = a * m + bb
+            for aa, cc in [(a + 1, bb), (a, bb + 1)]:
+                if periodic:
+                    j = (aa % m) * m + (cc % m)
+                elif aa < m and cc < m:
+                    j = aa * m + cc
+                else:
+                    continue
+                if i != j:
+                    edges.add((min(i, j), max(i, j)))
+    return edges
+
+
+def hypercube_edge_set(n):
+    """Undirected edges (i, i ^ 2^bit), i < i ^ 2^bit, of the log2(n)-cube, as a set."""
+    k = n.bit_length() - 1
+    return {(i, i ^ (1 << bit)) for i in range(n) for bit in range(k) if i < i ^ (1 << bit)}
+
+
+def uniform_undirected_coo(edges, n):
+    """Edge weight 1/(max degree + 1), diagonal 1 - degree * weight, assembled from COO."""
+    deg = np.zeros(n, dtype=int)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    w = 1.0 / (deg.max() + 1.0)
+    rows, cols, vals = [], [], []
+    for i, j in edges:
+        rows += [i, j]
+        cols += [j, i]
+        vals += [w, w]
+    rows += list(range(n))
+    cols += list(range(n))
+    vals += list(1.0 - deg * w)
+    mat = sparse.coo_array((np.asarray(vals, float), (np.asarray(rows), np.asarray(cols))),
+                           shape=(n, n)).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+# Problem kernels in their einsum / logaddexp / expit forms, dispatched on `p.kind`.
+
+def kernel_loss(p, x):
+    if p.kind == "least-squares":
+        r = np.einsum("nkd,d->nk", p.a, x) - p.b
+        return float(np.mean(r * r)) / 2.0
+    margin = p.y * np.einsum("nld,d->nl", p.h, x)
+    return float(np.mean(np.logaddexp(0.0, -margin))) + p._reg_loss(x)
+
+
+def kernel_global_grad(p, x):
+    if p.kind == "least-squares":
+        r = np.einsum("nkd,d->nk", p.a, x) - p.b
+        return np.einsum("nkd,nk->d", p.a, r) / (p.n * p.k_samples)
+    coef = p.y * expit(-(p.y * np.einsum("nld,d->nl", p.h, x)))
+    return -np.einsum("nld,nl->d", p.h, coef) / (p.n * p.l_samples) + p._reg_grad(x)
+
+
+def kernel_grads_all(p, x_rows):
+    if p.kind == "least-squares":
+        r = np.einsum("nkd,nd->nk", p.a, x_rows) - p.b
+        return np.einsum("nkd,nk->nd", p.a, r) / p.k_samples
+    coef = p.y * expit(-(p.y * np.einsum("nld,nd->nl", p.h, x_rows)))
+    return -np.einsum("nld,nl->nd", p.h, coef) / p.l_samples + p._reg_grad(x_rows)
+
+
+def kernel_local_loss(p, i, x):
+    if p.kind == "least-squares":
+        r = p.a[i] @ x - p.b[i]
+        return float(r @ r) / (2.0 * p.k_samples)
+    margin = p.y[i] * (p.h[i] @ x)
+    return float(np.mean(np.logaddexp(0.0, -margin))) + p._reg_loss(x)
+
+
+def kernel_grad(p, i, x):
+    if p.kind == "least-squares":
+        r = p.a[i] @ x - p.b[i]
+        return (p.a[i].T @ r) / p.k_samples
+    coef = p.y[i] * expit(-(p.y[i] * (p.h[i] @ x)))
+    return -(p.h[i].T @ coef) / p.l_samples + p._reg_grad(x)

@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.special import expit
 
 import equitopo as eq
+from equitopo.optim import _expit_neg, _softplus_neg
 
-from oracles import central_difference_gradient, gradient_descent_path
+from oracles import (central_difference_gradient, gradient_descent_path, kernel_global_grad,
+                     kernel_grad, kernel_grads_all, kernel_local_loss, kernel_loss)
 
 
 def identity_matrix(n):
@@ -88,6 +98,109 @@ def test_regularizer_gradient_formula(logistic_problem):
     x = np.random.default_rng(9).standard_normal(5)
     expected = 2 * logistic_problem.reg * x / (1 + x * x) ** 2
     assert np.allclose(logistic_problem._reg_grad(x), expected, rtol=1e-14)
+
+
+# ---------------------------------------------------------------- kernels
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+
+def kernel_error_scales(p, x_rows):
+    """Per node, the magnitude each kernel value is rounded against: (loss, gradient).
+
+    It is the sum of the absolute terms behind the value, with the rounding of
+    each residual or margin (at most d ulps of |a| |x| + |b|, or of |h| |x|)
+    carried through its derivative.  expit(-m) is below the smallest normal
+    number where the one-exp form overflows to 0 (m > 709.78), so each
+    logistic coefficient also carries TINY / EPS, which the ulp scaling turns
+    back into a few TINY.
+    """
+    if p.kind == "least-squares":
+        a = np.abs(p.a)
+        r = np.abs((p.a @ x_rows[:, :, None])[:, :, 0] - p.b)
+        r_err = r + (a @ np.abs(x_rows)[:, :, None])[:, :, 0] + np.abs(p.b)
+        return (r * r_err).mean(axis=1), (r_err[:, None, :] @ a)[:, 0, :] / p.k_samples
+    h = np.abs(p.h)
+    margin = p.y * (p.h @ x_rows[:, :, None])[:, :, 0]
+    m_err = (h @ np.abs(x_rows)[:, :, None])[:, :, 0]
+    loss = (np.logaddexp(0.0, -margin) + m_err).mean(axis=1)
+    coef_err = expit(-margin) * (1.0 + m_err) + TINY / EPS
+    grad = (coef_err[:, None, :] @ h)[:, 0, :] / p.l_samples
+    reg_loss = np.array([p._reg_loss(x) for x in x_rows])
+    return loss + reg_loss, grad + np.abs(p._reg_grad(x_rows))
+
+
+def check_kernels_match_einsum_forms(p, x_rows, ulps=8):
+    """Every kernel within `ulps` of its scale of the einsum/logaddexp/expit form."""
+    tol = ulps * EPS
+    loss_scale, grad_scale = kernel_error_scales(p, x_rows)
+    grads = p.grads_all(x_rows)
+    assert (np.abs(grads - kernel_grads_all(p, x_rows)) <= tol * grad_scale).all()
+    for i, x in enumerate(x_rows):
+        assert abs(p.local_loss(i, x) - kernel_local_loss(p, i, x)) <= tol * loss_scale[i]
+        assert (np.abs(p.grad(i, x) - kernel_grad(p, i, x)) <= tol * grad_scale[i]).all()
+        assert (np.abs(grads[i] - p.grad(i, x)) <= tol * grad_scale[i]).all()
+    x = x_rows[0]
+    loss_scale, grad_scale = kernel_error_scales(p, np.tile(x, (p.n, 1)))
+    assert abs(p.loss(x) - kernel_loss(p, x)) <= tol * loss_scale.mean()
+    global_err = np.abs(p.global_grad(x) - kernel_global_grad(p, x))
+    assert (global_err <= tol * grad_scale.mean(axis=0)).all()
+
+
+def random_problem(kind, n, samples, d, rng):
+    if kind == "least-squares":   # at least d samples keep the normal equations regular
+        return eq.make_least_squares(n, d, max(samples, d), 0.5, 0.1, rng)
+    p = eq.make_logistic_ncvx(n, d, samples, 0.01, 0.5, 0.1, rng)
+    p.y = rng.choice([-1.0, 1.0], size=p.y.shape)   # the generator labels every sample +1
+    return p
+
+
+@given(kind=st.sampled_from(["least-squares", "logistic"]), n=st.integers(1, 6),
+       samples=st.integers(1, 30), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e5]))
+@settings(max_examples=300, deadline=None, database=None)
+def test_kernels_match_einsum_forms(kind, n, samples, d, seed, scale):
+    rng = np.random.default_rng(seed)
+    p = random_problem(kind, n, samples, d, rng)
+    check_kernels_match_einsum_forms(p, scale * rng.standard_normal((n, d)))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+def test_kernels_match_einsum_forms_beyond_exp_range(scale):
+    rng = np.random.default_rng(40)
+    p = random_problem("logistic", 5, 40, 4, rng)
+    x_rows = scale * rng.standard_normal((5, 4))
+    margin = p.y * (p.h @ x_rows[:, :, None])[:, :, 0]
+    assert (margin > 745).any() and (margin < -745).any()
+    check_kernels_match_einsum_forms(p, x_rows)
+
+
+def test_logistic_helpers_give_exact_limits():
+    m = np.array([-np.inf, -1000.0, 1000.0, np.inf, np.nan])
+    with np.errstate(all="raise"):
+        softplus, sigmoid = _softplus_neg(m), _expit_neg(m)
+    assert np.array_equal(softplus, [np.inf, 1000.0, 0.0, 0.0, np.nan], equal_nan=True)
+    assert np.array_equal(sigmoid, [1.0, 1.0, 0.0, 0.0, np.nan], equal_nan=True)
+    with np.errstate(invalid="ignore"):   # logaddexp flags its NaN input
+        assert np.array_equal(softplus, np.logaddexp(0.0, -m), equal_nan=True)
+    assert np.array_equal(sigmoid, expit(-m), equal_nan=True)
+
+
+def test_logistic_helpers_match_library_forms():
+    m = np.concatenate([np.linspace(-800.0, 800.0, 20001), [-0.0, 0.0, 5e-324, -5e-324]])
+    assert np.allclose(_softplus_neg(m), np.logaddexp(0.0, -m), rtol=4 * EPS, atol=0.0)
+    inside = m < 709.78   # above it expit(-m) < TINY and the one-exp form gives 0
+    assert np.allclose(_expit_neg(m)[inside], expit(-m[inside]), rtol=4 * EPS, atol=0.0)
+    assert (np.abs(_expit_neg(m) - expit(-m))[~inside] < TINY).all()
+
+
+def test_cli_import_leaves_scipy_special_out():
+    code = "import sys, equitopo.cli; print('scipy.special' in sys.modules)"
+    path = os.pathsep.join([str(Path(eq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- steps

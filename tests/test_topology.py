@@ -9,10 +9,12 @@ import equitopo as eq
 from scipy import sparse
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, _circulant, _circulant_column)
+                               STATIC_FAMILIES, _circulant, _circulant_column, _lattice_edges,
+                               _uniform_undirected)
 
-from oracles import (circulant_coo, euclid_matching, hop_permutation, matched_node_count,
-                     matrix_csv_loop)
+from oracles import (circulant_coo, euclid_matching, hop_permutation, hypercube_edge_set,
+                     lattice_edge_set, matched_node_count, matrix_csv_loop,
+                     uniform_undirected_coo)
 
 
 def spec_for(family, n, **kw):
@@ -425,6 +427,26 @@ def test_grid_requires_square():
 def test_hypercube_requires_power_of_two():
     with pytest.raises(eq.ParameterError):
         eq.build_topology(eq.TopologySpec("hypercube", 12))
+
+
+@pytest.mark.parametrize("family", ["grid", "torus"])
+def test_lattices_match_edge_set_assembly(family):
+    periodic = family == "torus"
+    for m in range(1, 41):
+        n = m * m
+        if n == 1:   # below the smallest TopologySpec, so through the builder itself
+            w = _uniform_undirected(*_lattice_edges(1, periodic), 1, family)
+        else:
+            w = eq.build_topology(eq.TopologySpec(family, n))
+        assert_same_csr(w.mat, uniform_undirected_coo(lattice_edge_set(m, periodic), n))
+        assert w.mat.has_canonical_format
+
+
+def test_hypercube_matches_edge_set_assembly():
+    for k in range(1, 14):
+        w = eq.build_topology(eq.TopologySpec("hypercube", 2**k))
+        assert_same_csr(w.mat, uniform_undirected_coo(hypercube_edge_set(2**k), 2**k))
+        assert w.mat.has_canonical_format
 
 
 def test_static_exp_hops():
