@@ -15,8 +15,11 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+import types
+import typing
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .consensus import consensus_experiment, size_independence_experiment
 from .errors import ConstructionError, ParameterError
@@ -24,11 +27,9 @@ from .optim import StepSchedule, make_least_squares, make_logistic_ncvx, run
 from .output import atomic_write_text, sidecar_path, sidecar_text
 from .seeds import make_rng
 from .spectral import consensus_factor, empirical_contraction
-from .topology import (EQUI_DYNAMIC_FAMILIES, EQUI_STATIC_FAMILIES, FAMILIES,
-                       DynSampler, TopologySpec, build_topology, default_basis_count,
-                       matrix_csv_text)
+from .topology import (EQUI_DYNAMIC_FAMILIES, EQUI_STATIC_FAMILIES, DynSampler,
+                       TopologySpec, build_topology, default_basis_count, matrix_csv_text)
 
-COMMANDS = ("topo-build", "topo-verify", "consensus", "size-sweep", "dsgd", "dsgt")
 ALIASES = {"build": "topo-build", "verify": "topo-verify"}
 PROBLEMS = ("least-squares", "logistic")
 OUT_DIR_ENV = "EQUITOPO_OUT_DIR"
@@ -45,6 +46,9 @@ class UsageError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """Every field a command can take; None is unset.  A command's required
+    fields and its defaults for the rest are in its `_COMMANDS` entry."""
+
     command: str
     family: str | None = None
     n: int | None = None
@@ -65,67 +69,50 @@ class ExperimentConfig:
     sigma_n: float = 1.0
     sigma_h: float = 0.2
     reg: float = 0.001
-    gamma0: float | None = None   # resolved per command: dsgd 0.037, dsgt 1.5
+    gamma0: float | None = None
     decay_factor: float = 1.0
     decay_period: int | None = None
     out: str | None = None
 
 
-_INT = ("n", "m", "seed", "iters", "trials", "samples", "d", "decay_period")
-_FLOAT = ("rho", "p", "eta", "tol", "sigma_s", "sigma_n", "sigma_h", "reg",
-          "gamma0", "decay_factor", "m_log_scale")
-_RANGES = {
-    "rho": lambda v: 0.0 < v < 1.0,
-    "p": lambda v: 0.0 < v < 1.0,
-    "eta": lambda v: 0.0 < v < 1.0,
-    "n": lambda v: v >= 2,
-    "m": lambda v: v >= 1,
-    "iters": lambda v: v >= 1,
-    "trials": lambda v: v >= 1,
-    "tol": lambda v: v > 0.0,
-    "sigma_s": lambda v: v >= 0.0,
-    "sigma_n": lambda v: v >= 0.0,
-    "sigma_h": lambda v: v >= 0.0,
-    "reg": lambda v: v >= 0.0,
-    "gamma0": lambda v: v > 0.0,
-    "decay_factor": lambda v: v >= 1.0,
-    "decay_period": lambda v: v >= 1,
-    "samples": lambda v: v >= 1,
-    "d": lambda v: v >= 1,
-    "m_log_scale": lambda v: v > 0.0,
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def _parser(hint):
+    """Parser of one field's raw string, read off its annotation."""
+    if isinstance(hint, types.UnionType):   # `X | None`
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        return _int_list
+    return hint if hint in (int, float) else str
+
+
+_PARSERS = {name: _parser(hint)
+            for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+
+# the checks only the command line makes; TopologySpec alone checks family,
+# n, rho, p, m and eta
+_VALID = {
+    **dict.fromkeys(("iters", "trials", "samples", "d", "decay_factor", "decay_period"),
+                    lambda v: v >= 1),
+    **dict.fromkeys(("tol", "gamma0", "m_log_scale"), lambda v: v > 0.0),
+    **dict.fromkeys(("sigma_s", "sigma_n", "sigma_h", "reg"), lambda v: v >= 0.0),
+    "problem": lambda v: v in PROBLEMS,
 }
-_CHOICES = {"family": FAMILIES, "problem": PROBLEMS, "command": COMMANDS}
 
 
-def _coerce(key: str, raw):
-    if raw is None or not isinstance(raw, str):
-        value = raw
-    elif key in _INT:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"field {key!r}: expected an integer, got {raw!r}")
-    elif key in _FLOAT:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise UsageError(f"field {key!r}: expected a number, got {raw!r}")
-    elif key == "sizes":
-        try:
-            value = tuple(int(part) for part in raw.split(",") if part.strip())
-        except ValueError:
-            raise UsageError(f"field 'sizes': expected comma-separated integers, got {raw!r}")
-    else:
-        value = raw
-    if key in _RANGES and value is not None and not _RANGES[key](value):
+def _coerce(key: str, raw: str):
+    try:
+        value = _PARSERS[key](raw)
+    except ValueError as exc:
+        raise UsageError(f"field {key!r}: {exc}")
+    if key in _VALID and not _VALID[key](value):
         raise UsageError(f"field {key!r}: value {value!r} out of range")
-    if key in _CHOICES and value is not None and value not in _CHOICES[key]:
-        raise UsageError(f"field {key!r}: {value!r} not one of {_CHOICES[key]}")
     return value
 
 
 def _read_config_file(path: str) -> dict:
-    known = {f.name for f in dataclass_fields(ExperimentConfig)}
     values = {}
     try:
         text = Path(path).read_text()
@@ -141,33 +128,10 @@ def _read_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key in OUTPUT_ONLY_KEYS:
             continue
-        if key not in known:
+        if key not in _PARSERS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw)
     return values
-
-
-_REQUIRED = {
-    "topo-build": ("family", "n"),
-    "topo-verify": ("family", "n"),
-    "consensus": ("family", "n", "iters"),
-    "size-sweep": ("family", "sizes", "iters"),
-    "dsgd": ("family", "n", "iters"),
-    "dsgt": ("family", "n", "iters"),
-}
-# fields every command takes as flags, then each command's own; values stay
-# strings until `_coerce`
-_COMMON_FLAGS = ("seed", "family", "n", "rho", "p", "m", "eta")
-_OPTIM_FLAGS = ("iters", "trials", "problem", "d", "samples", "sigma_s", "sigma_n",
-                "sigma_h", "reg", "gamma0", "decay_factor", "decay_period")
-_FLAGS = {
-    "topo-build": ("tol",),
-    "topo-verify": ("trials", "tol"),
-    "consensus": ("iters", "trials"),
-    "size-sweep": ("sizes", "iters", "trials", "m_log_scale"),
-    "dsgd": _OPTIM_FLAGS,
-    "dsgt": _OPTIM_FLAGS,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output CSV path")
-        for key in _COMMON_FLAGS + _FLAGS[ALIASES.get(name, name)]:
+        for key in _COMMON_FLAGS + _COMMANDS[ALIASES.get(name, name)].flags:
             p.add_argument("--" + key.replace("_", "-"))
     return parser
 
@@ -194,45 +158,43 @@ def parse_config(argv) -> ExperimentConfig:
         raise UsageError(f"missing command; expected one of {COMMANDS}")
     command = ALIASES.get(namespace.command, namespace.command)
 
-    values = {}
-    config_path = getattr(namespace, "config", None)
-    if config_path:
-        values.update(_read_config_file(config_path))
-    if "command" in values and values["command"] != command:
+    given = _read_config_file(namespace.config) if namespace.config else {}
+    file_command = given.pop("command", command)
+    if file_command != command:
         raise UsageError(
-            f"config file says command = {values['command']!r} but {command!r} was invoked")
-    values.pop("command", None)
-    for key, raw in vars(namespace).items():
-        if key in ("command", "config") or raw is None:
-            continue
-        values[key.replace("-", "_")] = _coerce(key.replace("-", "_"), raw)
+            f"config file says command = {file_command!r} but {command!r} was invoked")
+    flags = {key: _coerce(key, raw) for key, raw in vars(namespace).items()
+             if key not in ("command", "config") and raw is not None}
 
-    config = ExperimentConfig(command=command, **values)
-    for field_name in _REQUIRED[command]:
+    config = ExperimentConfig(command=command,
+                              **{**_COMMANDS[command].defaults, **given, **flags})
+    for field_name in _COMMANDS[command].required:
         if getattr(config, field_name) is None:
             raise UsageError(f"missing required field {field_name!r} for {command}")
-    if config.trials is None:
-        config.trials = 1000 if command == "topo-verify" else 3
-    if command in ("dsgd", "dsgt"):
-        if config.problem is None:
-            config.problem = "least-squares" if command == "dsgd" else "logistic"
-        if config.gamma0 is None:
-            config.gamma0 = 0.037 if command == "dsgd" else 1.5
+    # TopologySpec alone judges the topology fields: every value given, also
+    # a file value a flag overrides, at every size named, before any work
+    for judged in (config, replace(config, **given)):
+        for n in (judged.sizes or ()) + (judged.n,):
+            if n is not None:
+                _spec_from(judged, n)
     return config
 
 
-def _spec_from(config: ExperimentConfig, n=None, m=None, seed=None) -> TopologySpec:
+def _spec_from(config: ExperimentConfig, n=None) -> TopologySpec:
     return TopologySpec(family=config.family, n=n if n is not None else config.n,
-                        rho=config.rho, p=config.p, m=m if m is not None else config.m,
-                        eta=config.eta, seed=seed if seed is not None else config.seed)
+                        rho=config.rho, p=config.p, m=config.m, eta=config.eta,
+                        seed=config.seed)
+
+
+def _m_for(config: ExperimentConfig, default):
+    """M at size n: the set m, else `default(n)` for the equi families, else None."""
+    if config.m is None and config.family in EQUI_STATIC_FAMILIES + EQUI_DYNAMIC_FAMILIES:
+        return default
+    return lambda n: config.m
 
 
 def _resolved_m(config: ExperimentConfig) -> int | None:
-    if config.m is not None:
-        return config.m
-    if config.family in EQUI_STATIC_FAMILIES + EQUI_DYNAMIC_FAMILIES and config.n:
-        return default_basis_count(config.n, config.rho, config.p)
-    return None
+    return _m_for(config, lambda n: default_basis_count(n, config.rho, config.p))(config.n)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -326,9 +288,7 @@ def _cmd_consensus(config: ExperimentConfig) -> int:
 
 def _cmd_size_sweep(config: ExperimentConfig) -> int:
     scale = config.m_log_scale if config.m_log_scale is not None else 5.0
-    m_for = (lambda n: config.m) if config.m is not None else \
-        ((lambda n: math.ceil(scale * math.log(n)))
-         if config.family in EQUI_STATIC_FAMILIES + EQUI_DYNAMIC_FAMILIES else None)
+    m_for = _m_for(config, lambda n: math.ceil(scale * math.log(n)))
     sweep = size_independence_experiment(config.family, config.sizes, config.iters,
                                          config.trials, master_seed=config.seed,
                                          rho=config.rho, p=config.p, eta=config.eta,
@@ -369,24 +329,39 @@ def _cmd_optim(config: ExperimentConfig) -> int:
     return 4 if trace.diverged else 0
 
 
-_DISPATCH = {
-    "topo-build": _cmd_topo_build,
-    "topo-verify": _cmd_topo_verify,
-    "consensus": _cmd_consensus,
-    "size-sweep": _cmd_size_sweep,
-    "dsgd": _cmd_optim,
-    "dsgt": _cmd_optim,
+class Command(NamedTuple):
+    """What the command line knows of one command."""
+
+    required: tuple[str, ...]
+    flags: tuple[str, ...]     # on top of _COMMON_FLAGS
+    defaults: dict
+    run: Callable[[ExperimentConfig], int]
+
+
+_COMMON_FLAGS = ("seed", "family", "n", "rho", "p", "m", "eta")
+_OPTIM_FLAGS = ("iters", "trials", "problem", "d", "samples", "sigma_s", "sigma_n",
+                "sigma_h", "reg", "gamma0", "decay_factor", "decay_period")
+_COMMANDS = {
+    "topo-build": Command(("family", "n"), ("tol",), {"trials": 3}, _cmd_topo_build),
+    "topo-verify": Command(("family", "n"), ("trials", "tol"), {"trials": 1000},
+                           _cmd_topo_verify),
+    "consensus": Command(("family", "n", "iters"), ("iters", "trials"), {"trials": 3},
+                         _cmd_consensus),
+    "size-sweep": Command(("family", "sizes", "iters"),
+                          ("sizes", "iters", "trials", "m_log_scale"), {"trials": 3},
+                          _cmd_size_sweep),
+    "dsgd": Command(("family", "n", "iters"), _OPTIM_FLAGS,
+                    {"trials": 3, "problem": "least-squares", "gamma0": 0.037}, _cmd_optim),
+    "dsgt": Command(("family", "n", "iters"), _OPTIM_FLAGS,
+                    {"trials": 3, "problem": "logistic", "gamma0": 1.5}, _cmd_optim),
 }
-
-
-def run_command(config: ExperimentConfig) -> int:
-    return _DISPATCH[config.command](config)
+COMMANDS = tuple(_COMMANDS)
 
 
 def main(argv=None) -> int:
     try:
         config = parse_config(argv if argv is not None else sys.argv[1:])
-        return run_command(config)
+        return _COMMANDS[config.command].run(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

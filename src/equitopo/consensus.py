@@ -23,11 +23,9 @@ class ConsensusTrace:
 
     family: str
     n: int
-    seed: int
     trial: np.ndarray
     iteration: np.ndarray
     residual: np.ndarray
-    spec: TopologySpec | None = None
     meta: dict = field(default_factory=dict)
 
     def trial_residuals(self, k: int) -> np.ndarray:
@@ -67,7 +65,7 @@ def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int,
         residuals[t] = np.linalg.norm(x - mean0)
     iterations = np.arange(iters + 1)
     return ConsensusTrace(
-        family=getattr(topology, "family", "custom"), n=n, seed=0,
+        family=getattr(topology, "family", "custom"), n=n,
         trial=np.full(iters + 1, trial), iteration=iterations, residual=residuals,
         meta={"max_mean_drift": max_drift})
 
@@ -88,11 +86,11 @@ def consensus_experiment(spec: TopologySpec, iters: int, trials: int,
         drift = max(drift, tr.meta["max_mean_drift"])
         parts.append(tr)
     return ConsensusTrace(
-        family=spec.family, n=spec.n, seed=master,
+        family=spec.family, n=spec.n,
         trial=np.concatenate([p.trial for p in parts]),
         iteration=np.concatenate([p.iteration for p in parts]),
         residual=np.concatenate([p.residual for p in parts]),
-        spec=spec, meta={"max_mean_drift": drift, "iters": iters, "trials": trials})
+        meta={"max_mean_drift": drift, "iters": iters, "trials": trials})
 
 
 def fit_decay_slope(iterations, residuals, skip: int = 2,
@@ -118,7 +116,6 @@ def fit_decay_slope(iterations, residuals, skip: int = 2,
 class SizeSweepEntry:
     n: int
     slope: float
-    trial_slopes: tuple[float, ...]
     trace: ConsensusTrace
 
 
@@ -158,14 +155,9 @@ def size_independence_experiment(family: str, sizes, iters: int, trials: int,
         spec = TopologySpec(family=family, n=n, rho=rho, p=p, m=m, eta=eta,
                             seed=derive_seed(master_seed, "size", n))
         trace = consensus_experiment(spec, iters, trials)
-        per_trial = []
-        logs = []
-        for k in range(trials):
-            res = trace.trial_residuals(k)
-            per_trial.append(fit_decay_slope(np.arange(iters + 1), res))
-            logs.append(np.log(np.clip(res, 1e-300, None)))
+        logs = [np.log(np.clip(trace.trial_residuals(k), 1e-300, None))
+                for k in range(trials)]
         geo_mean = np.exp(np.mean(logs, axis=0))
         slope = fit_decay_slope(np.arange(iters + 1), geo_mean)
-        entries.append(SizeSweepEntry(n=n, slope=slope,
-                                      trial_slopes=tuple(per_trial), trace=trace))
+        entries.append(SizeSweepEntry(n=n, slope=slope, trace=trace))
     return SizeSweep(family=family, entries=entries)

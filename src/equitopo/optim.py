@@ -248,7 +248,6 @@ class OptTrace:
     n: int
     records: list = field(default_factory=list)  # per trial: dict of 1-d arrays
     diverged_trials: tuple[int, ...] = ()
-    config: dict = field(default_factory=dict)
 
     @property
     def diverged(self) -> bool:
@@ -321,11 +320,5 @@ def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
                     break
         records.append({"iter": np.array(its), "grad_norm_sq": np.array(gs),
                         "loss": np.array(ls), "consensus_residual": np.array(cs)})
-    config = {"algo": algorithm, "family": spec.family, "n": spec.n,
-              "iters": iters, "trials": trials, "seed": master_seed,
-              "record_every": record_every,
-              "gamma0": schedule.gamma0, "decay_factor": schedule.decay_factor,
-              "decay_period": schedule.decay_period, "problem": problem.kind,
-              "d": problem.d, "sigma_n": problem.sigma_n}
     return OptTrace(algo=algorithm, family=spec.family, n=spec.n, records=records,
-                    diverged_trials=tuple(diverged), config=config)
+                    diverged_trials=tuple(diverged))

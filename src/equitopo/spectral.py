@@ -23,6 +23,7 @@ from .topology import DynSampler, GossipMatrix, _circulant_column
 
 DENSE_CUTOFF = 64
 POWER_TOL = 1e-10
+POWER_START_SEED = 0xC0FFEE   # fixes the power-iteration start vector
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def _circulant_factor(c: np.ndarray) -> ConsensusEstimate:
 
 
 def consensus_factor(w: GossipMatrix, tol: float = POWER_TOL, method: str = "auto",
-                     max_iter: int | None = None, start_seed: int = 0xC0FFEE) -> ConsensusEstimate:
+                     max_iter: int | None = None) -> ConsensusEstimate:
     """Spectral norm of the centered mixing matrix.
 
     "auto" reads a circulant matrix's factor exactly from one FFT of its
@@ -98,7 +99,7 @@ def consensus_factor(w: GossipMatrix, tol: float = POWER_TOL, method: str = "aut
 
     a = w.mat
     at = w.mat.T.tocsr()
-    rng = make_rng(start_seed, "power-start")
+    rng = make_rng(POWER_START_SEED, "power-start")
     v = _center(rng.standard_normal(w.n))
     v /= np.linalg.norm(v)
     cap = max_iter if max_iter is not None else 10 * w.n

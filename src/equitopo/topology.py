@@ -448,8 +448,32 @@ def _lattice_edges(m: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
     return edges[:, 0], edges[:, 1]
 
 
-def build_baseline(spec: TopologySpec) -> GossipMatrix | DynSampler:
-    """Standard matrix (static families) or cycling sampler (one-peer-exp)."""
+def complete_basis(n: int) -> BasisIndex:
+    """The full shift set {1, ..., n-1}, whose average is the all-1/n matrix."""
+    return BasisIndex(tuple(range(1, n)), n)
+
+
+def _dynamic_basis(spec: TopologySpec) -> BasisIndex:
+    # m == n-1 selects the full deterministic shift set; anything else samples
+    # a parent static matrix and inherits its basis.
+    if spec.m is not None and spec.m == spec.n - 1:
+        return complete_basis(spec.n)
+    _, basis = build_d_equistatic(replace(spec, seed=derive_seed(spec.seed, "parent")))
+    return basis
+
+
+def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
+    """Build the matrix or sampler described by `spec` (deterministic in spec.seed)."""
+    n, family = spec.n, spec.family
+    if family == "d-equistatic":
+        return build_d_equistatic(spec)[0]
+    if family == "u-equistatic":
+        w, _ = build_d_equistatic(spec)
+        return build_u_equistatic(w)[0]
+    if family == "od-equidyn":
+        return OdEquiDynSampler(spec, _dynamic_basis(spec))
+    if family in ("ou-equidyn", "ou-equidyn-euclid"):
+        return OuEquiDynSampler(spec, _dynamic_basis(spec).with_reversals())
     n, family = spec.n, spec.family
     if family == "ring":
         deg = 1 if n == 2 else 2
@@ -476,37 +500,7 @@ def build_baseline(spec: TopologySpec) -> GossipMatrix | DynSampler:
         return _circulant(c, family)
     if family == "complete":
         return _circulant(np.full(n, 1.0 / n), family)
-    if family == "one-peer-exp":
-        return OnePeerExpSampler(spec)
-    raise ParameterError(f"{family!r} is not a baseline family")
-
-
-def complete_basis(n: int) -> BasisIndex:
-    """The full shift set {1, ..., n-1}, whose average is the all-1/n matrix."""
-    return BasisIndex(tuple(range(1, n)), n)
-
-
-def _dynamic_basis(spec: TopologySpec) -> BasisIndex:
-    # m == n-1 selects the full deterministic shift set; anything else samples
-    # a parent static matrix and inherits its basis.
-    if spec.m is not None and spec.m == spec.n - 1:
-        return complete_basis(spec.n)
-    _, basis = build_d_equistatic(replace(spec, seed=derive_seed(spec.seed, "parent")))
-    return basis
-
-
-def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
-    """Build the matrix or sampler described by `spec` (deterministic in spec.seed)."""
-    if spec.family == "d-equistatic":
-        return build_d_equistatic(spec)[0]
-    if spec.family == "u-equistatic":
-        w, _ = build_d_equistatic(spec)
-        return build_u_equistatic(w)[0]
-    if spec.family == "od-equidyn":
-        return OdEquiDynSampler(spec, _dynamic_basis(spec))
-    if spec.family in ("ou-equidyn", "ou-equidyn-euclid"):
-        return OuEquiDynSampler(spec, _dynamic_basis(spec).with_reversals())
-    return build_baseline(spec)
+    return OnePeerExpSampler(spec)   # the last family TopologySpec admits
 
 
 def matrix_csv_text(w: GossipMatrix) -> str:

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 
@@ -27,11 +28,62 @@ def test_flags_override_config_file(tmp_path):
     assert cfg.family == "ring"
 
 
-def test_out_of_range_value_names_field(capsys):
-    code = run_cli(["consensus", "--family", "ring", "--n", "10", "--iters", "5",
-                    "--rho", "1.5"])
+# a valid invocation of each command, to which one bad flag value is appended
+VALID_ARGV = {
+    "topo-build": ["--family", "ring", "--n", "9"],
+    "topo-verify": ["--family", "ring", "--n", "9"],
+    "consensus": ["--family", "ring", "--n", "10", "--iters", "5"],
+    "size-sweep": ["--family", "ring", "--sizes", "9,16", "--iters", "3"],
+    "dsgd": ["--family", "ring", "--n", "9", "--iters", "3", "--d", "2", "--samples", "4"],
+    "dsgt": ["--family", "ring", "--n", "9", "--iters", "3", "--d", "2", "--samples", "4"],
+}
+# (test id, command, flag, value, the field stderr must name): one value out
+# of range for every field the command line checks and every topology field,
+# then values that do not parse or name nothing known
+REJECTED = [
+    ("iters", "consensus", "iters", "0", "iters"),
+    ("trials", "topo-verify", "trials", "0", "trials"),
+    ("tol", "topo-build", "tol", "0", "tol"),
+    ("samples", "dsgd", "samples", "0", "samples"),
+    ("d", "dsgt", "d", "0", "d"),
+    ("sigma_s", "dsgd", "sigma-s", "-1", "sigma_s"),
+    ("sigma_n", "dsgt", "sigma-n", "-1", "sigma_n"),
+    ("sigma_h", "dsgt", "sigma-h", "-0.5", "sigma_h"),
+    ("reg", "dsgt", "reg", "-1", "reg"),
+    ("gamma0", "dsgd", "gamma0", "0", "gamma0"),
+    ("decay_factor", "dsgd", "decay-factor", "0.5", "decay_factor"),
+    ("decay_period", "dsgt", "decay-period", "0", "decay_period"),
+    ("m_log_scale", "size-sweep", "m-log-scale", "0", "m_log_scale"),
+    ("rho", "consensus", "rho", "1.5", "rho"),
+    ("p", "topo-verify", "p", "0", "p"),
+    ("eta", "size-sweep", "eta", "1", "eta"),
+    ("m", "topo-build", "m", "0", "m"),
+    ("n", "consensus", "n", "1", "n"),
+    ("dsgd-n0", "dsgd", "n", "0", "n"),
+    ("sizes-9-1", "size-sweep", "sizes", "9,1", "n"),
+    ("int-unparsable", "consensus", "n", "x", "n"),
+    ("float-unparsable", "topo-build", "rho", "x", "rho"),
+    ("sizes-unparsable", "size-sweep", "sizes", "9,x", "sizes"),
+    ("family-unknown", "topo-build", "family", "bogus", "family"),
+    ("problem-unknown", "dsgd", "problem", "bogus", "problem"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, field",
+                         [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
+def test_out_of_range_value_names_field(command, flag, value, field, tmp_path, capsys):
+    code = run_cli([command, *VALID_ARGV[command], "--" + flag, value,
+                    "--out", tmp_path / "o.csv"])
     assert code == 2
-    assert "rho" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{field}\b", err), err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rejected_cases_cover_every_checked_field():
+    checked = {case[4] for case in REJECTED}
+    assert set(equitopo.cli._VALID) | {"family", "n", "rho", "p", "m", "eta"} <= checked
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -39,6 +91,15 @@ def test_unknown_config_key_rejected(tmp_path):
     f.write_text("family = ring\nn = 9\nwarp_speed = 11\n")
     with pytest.raises(UsageError, match="warp_speed"):
         parse_config(["consensus", "--config", str(f), "--iters", "3"])
+
+
+def test_file_value_a_flag_overrides_is_still_checked(tmp_path, capsys):
+    f = tmp_path / "run.conf"
+    f.write_text("family = ring\nn = 9\niters = 3\nrho = 5\n")
+    out = tmp_path / "o.csv"
+    assert run_cli(["consensus", "--config", f, "--rho", "0.5", "--out", out]) == 2
+    assert "rho" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_field_named(capsys):
@@ -189,12 +250,55 @@ def test_topo_verify_dynamic_uses_monte_carlo(tmp_path):
     assert float(read_meta(tmp_path / "v.csv.meta")["rho_tolerance"]) > 0.0   # its stderr
 
 
-def test_consensus_reproducible_from_sidecar(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli(["consensus", "--family", "ou-equidyn", "--n", "16", "--m", "15",
-             "--iters", "8", "--trials", "2", "--seed", "9", "--out", out1])
-    run_cli(["consensus", "--config", str(out1) + ".meta", "--out", out2])
-    assert out1.read_bytes() == out2.read_bytes()
+# one small run per command and one alias; per-command defaults (trials,
+# problem, gamma0, M) are left unset, so the sidecars pin them
+REPLAYED = {
+    "topo-build": ["--family", "d-equistatic", "--n", "30", "--seed", "1"],
+    "build": ["--family", "one-peer-exp", "--n", "16"],
+    "topo-verify": ["--family", "ou-equidyn", "--n", "20", "--seed", "3"],
+    "consensus": ["--family", "ou-equidyn", "--n", "16", "--m", "15", "--iters", "8",
+                  "--seed", "9"],
+    "size-sweep": ["--family", "d-equistatic", "--sizes", "20,30", "--iters", "10",
+                   "--seed", "1"],
+    "dsgd": ["--family", "torus", "--n", "16", "--iters", "10", "--d", "3",
+             "--samples", "6"],
+    "dsgt": ["--family", "ou-equidyn", "--n", "10", "--m", "9", "--iters", "10", "--d", "3",
+             "--samples", "6"],
+}
+
+# what the sidecars echo for the defaults left unset above (None: no line)
+ECHOED_DEFAULTS = {
+    "topo-build": {"trials": "3", "m": "52"},
+    "build": {"trials": "3", "m": None},
+    "topo-verify": {"trials": "1000", "m": "47"},
+    "consensus": {"trials": "3"},
+    "size-sweep": {"trials": "3", "m": None, "m-log-scale": None},
+    "dsgd": {"trials": "3", "problem": "least-squares", "gamma0": "0.037", "m": None},
+    "dsgt": {"trials": "3", "problem": "logistic", "gamma0": "1.5"},
+}
+
+
+def without_out(meta_path):
+    return [line for line in meta_path.read_text().splitlines()
+            if not line.startswith("out = ")]
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYED))
+def test_sidecar_replays_every_command(command, tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli([command, *REPLAYED[command], "--out", first / "o.csv"]) == 0
+    meta = sorted(first.glob("*.meta"))[-1]
+    echoed = read_meta(meta)
+    assert {key: echoed.get(key) for key in ECHOED_DEFAULTS[command]} == \
+        ECHOED_DEFAULTS[command]
+    assert run_cli([command, "--config", meta, "--out", again / "o.csv"]) == 0
+    written = sorted(path.name for path in first.iterdir())
+    assert written == sorted(path.name for path in again.iterdir())
+    for name in written:
+        if name.endswith(".meta"):
+            assert without_out(first / name) == without_out(again / name), name
+        else:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_size_sweep_writes_trace_files_and_summary(tmp_path):
