@@ -34,10 +34,10 @@ ALIASES = {"build": "topo-build", "verify": "topo-verify"}
 PROBLEMS = ("least-squares", "logistic")
 OUT_DIR_ENV = "EQUITOPO_OUT_DIR"
 
-# sidecars carry measured values on top of the config echo; these keys are
-# skipped when a sidecar is fed back in as a config file
+# sidecars carry measured values on top of the config echo; these keys, and the
+# `tol` and `converged` of older sidecars, are skipped when one is read back
 OUTPUT_ONLY_KEYS = {"rho_measured", "rho_target", "basis_index", "method", "rho_tolerance",
-                    "converged", "slopes", "diverged_trials"}
+                    "converged", "tol", "slopes", "diverged_trials"}
 
 
 class UsageError(Exception):
@@ -60,7 +60,6 @@ class ExperimentConfig:
     seed: int = 0
     iters: int | None = None
     trials: int | None = None
-    tol: float = 1e-10
     sizes: tuple[int, ...] | None = None
     problem: str | None = None
     d: int = 10
@@ -96,7 +95,7 @@ _PARSERS = {name: _parser(hint)
 _VALID = {
     **dict.fromkeys(("iters", "trials", "samples", "d", "decay_factor", "decay_period"),
                     lambda v: v >= 1),
-    **dict.fromkeys(("tol", "gamma0", "m_log_scale"), lambda v: v > 0.0),
+    **dict.fromkeys(("gamma0", "m_log_scale"), lambda v: v > 0.0),
     **dict.fromkeys(("sigma_s", "sigma_n", "sigma_h", "reg"), lambda v: v >= 0.0),
     "problem": lambda v: v in PROBLEMS,
 }
@@ -107,7 +106,9 @@ def _coerce(key: str, raw: str):
         value = _PARSERS[key](raw)
     except ValueError as exc:
         raise UsageError(f"field {key!r}: {exc}")
-    if key in _VALID and not _VALID[key](value):
+    # every float must be finite, on top of the field's own check
+    if (isinstance(value, float) and not math.isfinite(value)) or \
+            (key in _VALID and not _VALID[key](value)):
         raise UsageError(f"field {key!r}: value {value!r} out of range")
     return value
 
@@ -119,8 +120,8 @@ def _read_config_file(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
@@ -228,24 +229,14 @@ def _write(config, path, csv, extra_meta=None):
     atomic_write_text(sidecar_path(path), sidecar_text(meta))
 
 
-def _accuracy_meta(est) -> dict:
-    """How exact `est` is; `converged = False` marks power iteration stopped at its cap."""
-    meta = {"rho_tolerance": est.tolerance_or_stderr}
-    if not est.converged:
-        meta["converged"] = False
-    return meta
-
-
 def _cmd_topo_build(config: ExperimentConfig) -> int:
     topo = build_topology(_spec_from(config))
     # dynamic families export their first realization
     w = topo.sample() if isinstance(topo, DynSampler) else topo
-    est = consensus_factor(w, tol=config.tol)
+    est = consensus_factor(w)
     path = _out_path(config)
-    meta = {"rho_target": config.rho, "rho_measured": est.value, "method": est.method}
-    if w.basis_index is not None:
-        meta["basis_index"] = w.basis_index
-    meta.update(_accuracy_meta(est))
+    meta = {"rho_target": config.rho, "rho_measured": est.value, "method": est.method,
+            "basis_index": w.basis_index, "rho_tolerance": est.tolerance_or_stderr}
     _write(config, path, matrix_csv_text(w), meta)
     print(f"built {config.family} n={config.n} rho_measured={est.value!r} -> {path}")
     return 0
@@ -254,22 +245,19 @@ def _cmd_topo_build(config: ExperimentConfig) -> int:
 def _cmd_topo_verify(config: ExperimentConfig) -> int:
     topo = build_topology(_spec_from(config))
     if isinstance(topo, DynSampler):
-        est = empirical_contraction(topo, config.trials,
-                                    rng=make_rng(config.seed, "verify"))
+        est = empirical_contraction(topo, config.trials, rng=make_rng(config.seed, "verify"))
         rho_measured = math.sqrt(est.value)
-        trials = est.iterations_or_trials
     else:
-        est = consensus_factor(topo, tol=config.tol)
+        est = consensus_factor(topo)
         rho_measured = est.value
-        trials = est.iterations_or_trials
     m = _resolved_m(config)
     path = _out_path(config)
     header = "family,n,M,rho_target,rho_measured,method,trials"
     line = (f"{config.family},{config.n},{'' if m is None else m},"
-            f"{config.rho!r},{rho_measured!r},{est.method},{trials}")
+            f"{config.rho!r},{rho_measured!r},{est.method},{est.iterations_or_trials}")
     _write(config, path, header + "\n" + line + "\n",
            {"rho_target": config.rho, "rho_measured": rho_measured, "method": est.method,
-            **_accuracy_meta(est)})
+            "rho_tolerance": est.tolerance_or_stderr})
     verdict = "<=" if rho_measured <= config.rho else ">"
     print(f"{config.family} n={config.n} rho_measured={rho_measured!r} "
           f"{verdict} rho_target={config.rho!r}")
@@ -322,10 +310,11 @@ def _cmd_optim(config: ExperimentConfig) -> int:
     _write(config, path, trace.csv_text(),
            {"diverged_trials": trace.diverged_trials or None})
     last = trace.records[0]
+    final = (f"final grad_norm_sq={float(last['grad_norm_sq'][-1])!r} final loss="
+             f"{float(last['loss'][-1])!r}" if last["iter"].size else "no finite record")
     status = "diverged" if trace.diverged else "ok"
-    print(f"{config.command} {config.problem} {config.family} n={config.n} "
-          f"final grad_norm_sq={float(last['grad_norm_sq'][-1])!r} "
-          f"final loss={float(last['loss'][-1])!r} [{status}] -> {path}")
+    print(f"{config.command} {config.problem} {config.family} n={config.n} {final} "
+          f"[{status}] -> {path}")
     return 4 if trace.diverged else 0
 
 
@@ -342,9 +331,8 @@ _COMMON_FLAGS = ("seed", "family", "n", "rho", "p", "m", "eta")
 _OPTIM_FLAGS = ("iters", "trials", "problem", "d", "samples", "sigma_s", "sigma_n",
                 "sigma_h", "reg", "gamma0", "decay_factor", "decay_period")
 _COMMANDS = {
-    "topo-build": Command(("family", "n"), ("tol",), {"trials": 3}, _cmd_topo_build),
-    "topo-verify": Command(("family", "n"), ("trials", "tol"), {"trials": 1000},
-                           _cmd_topo_verify),
+    "topo-build": Command(("family", "n"), (), {"trials": 3}, _cmd_topo_build),
+    "topo-verify": Command(("family", "n"), ("trials",), {"trials": 1000}, _cmd_topo_verify),
     "consensus": Command(("family", "n", "iters"), ("iters", "trials"), {"trials": 3},
                          _cmd_consensus),
     "size-sweep": Command(("family", "sizes", "iters"),

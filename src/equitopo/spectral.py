@@ -2,12 +2,18 @@
 
 For a fixed doubly-stochastic W the consensus factor is the spectral norm of
 the centered matrix (I - J) W (I - J): the worst one-step contraction of the
-disagreement component.  A circulant matrix, W[i, j] = c[(i - j) mod n], is
-normal, so its factor is exactly max_{k != 0} |fft(c)_k| ("circulant-fft");
-every equi-static matrix, basis matrix, od-equidyn draw, ring, static-exp and
-complete graph is one.  Other static matrices fall back to dense SVD for
-small n and to power iteration on the centered normal operator otherwise;
-dynamic samplers are measured by Monte Carlo one-step contraction.
+disagreement component.  `consensus_factor` reads it off the structure the
+builder left on the matrix, never off its entries.  A circulant over a finite
+abelian group G, W[i, j] = c[i - j] (the circulant families, one-peer shifts,
+torus, hypercube), is normal with eigenvalues one `np.fft.fftn` of c shaped
+as G (Diaconis, Group Representations in Probability and Statistics, 1988;
+over Z_2^d the Walsh-Hadamard transform): "circulant-fft".  The grid's come
+from the path Laplacian (Nedic, Olshevsky and Rabbat, Proc. IEEE 2018):
+"closed-form".  A one-peer matching on n >= 3 nodes (ou-* draws) is
+disconnected, factor 1: "disconnected".  Other matrices get dense SVD
+("dense-eig") up to n = 64 and an error above.  Each tolerance bounds the
+distance of the value from the exact factor of the stored matrix; dynamic
+samplers get a Monte Carlo one-step contraction and its standard error.
 """
 
 from __future__ import annotations
@@ -19,11 +25,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .seeds import make_rng
-from .topology import DynSampler, GossipMatrix, _circulant_column
+from .topology import Circulant, DynSampler, GossipMatrix, Grid, OnePeer
 
 DENSE_CUTOFF = 64
-POWER_TOL = 1e-10
-POWER_START_SEED = 0xC0FFEE   # fixes the power-iteration start vector
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,10 @@ class ConsensusEstimate:
     """
 
     value: float
-    method: str  # circulant-fft | dense-eig | power-iteration | monte-carlo
+    method: str  # circulant-fft | closed-form | disconnected | dense-eig | monte-carlo
     iterations_or_trials: int
     tolerance_or_stderr: float
-    converged: bool = True
+    converged = True   # every method runs to its end; trace tools read this
 
 
 def _center(x: np.ndarray) -> np.ndarray:
@@ -57,71 +62,48 @@ def _dense_factor(w: GossipMatrix) -> ConsensusEstimate:
     a = w.toarray()
     b = a - a.mean(axis=0, keepdims=True)   # (I - J) A
     b -= b.mean(axis=1, keepdims=True)      # ... (I - J)
-    bound = w.n * float(np.finfo(float).eps) * float(np.linalg.norm(a))
+    bound = w.n * EPS * float(np.linalg.norm(a))
     return ConsensusEstimate(float(np.linalg.svd(b, compute_uv=False)[0]), "dense-eig", 1, bound)
 
 
 def _circulant_factor(c: np.ndarray) -> ConsensusEstimate:
-    """Exact factor of a circulant matrix: its eigenvalues are fft(c); centering drops k = 0.
+    """Exact factor of a group circulant: its eigenvalues are fftn(c); centering drops index 0.
 
-    The tolerance bounds the floating-point FFT's error in any one output,
-    C u log2(n) ||fft(c)||_2 with ||fft(c)||_2 = sqrt(n) ||c||_2 (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 24.2); C = 8 and the
-    length 4n also cover the Bluestein path taken for large prime factors.
+    The tolerance bounds the floating-point FFT's error in any one output:
+    C u log2(m) ||fft||_2 along an axis of length m (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 24.2), summed over the axes, with
+    ||fftn(c)||_2 = sqrt(n) ||c||_2; C = 8 and the length 4m also cover the
+    Bluestein path taken for large prime factors.
     """
-    n = c.size
-    value = float(np.abs(np.fft.fft(c)[1:]).max(initial=0.0))
-    eps = float(np.finfo(float).eps)
-    bound = 8 * eps * math.log2(4 * n) * math.sqrt(n) * float(np.linalg.norm(c))
+    value = float(np.abs(np.fft.fftn(c).ravel()[1:]).max(initial=0.0))
+    log_len = sum(math.log2(4 * m) for m in c.shape)
+    bound = 8 * EPS * log_len * math.sqrt(c.size) * float(np.linalg.norm(c))
     return ConsensusEstimate(value, "circulant-fft", 1, bound)
 
 
-def consensus_factor(w: GossipMatrix, tol: float = POWER_TOL, method: str = "auto",
-                     max_iter: int | None = None) -> ConsensusEstimate:
-    """Spectral norm of the centered mixing matrix.
+def consensus_factor(w: GossipMatrix) -> ConsensusEstimate:
+    """Spectral norm of the centered mixing matrix, read off `w.structure`.
 
-    "auto" reads a circulant matrix's factor exactly from one FFT of its
-    column 0.  Any other matrix goes to dense SVD for n <= 64 and to power
-    iteration, to relative step change `tol`, otherwise; both can also be
-    requested by name.  Power iteration runs on the squared centered operator
-    restricted to the mean-zero subspace; the iterate is re-centered every
-    step so floating point drift cannot leak into the all-ones direction.
+    Grid tolerance: the rounding of pi a / m, of cos (4 ulp) and of the four
+    operations after it stays under 15 eps for a weight <= 1/3, the stored
+    diagonal adds 1 eps; 32 eps covers both.  A matching's weights are stored
+    within 2 eps of exact, so its factor is within 4 eps of 1 (Weyl).
     """
-    if method == "auto":
-        c = _circulant_column(w)
-        if c is not None:
-            return _circulant_factor(c)
-        method = "dense-eig" if w.n <= DENSE_CUTOFF else "power-iteration"
-    if method == "dense-eig":
-        return _dense_factor(w)
-    if method != "power-iteration":
-        raise ParameterError(f"unknown method {method!r}")
-
-    a = w.mat
-    at = w.mat.T.tocsr()
-    rng = make_rng(POWER_START_SEED, "power-start")
-    v = _center(rng.standard_normal(w.n))
-    v /= np.linalg.norm(v)
-    cap = max_iter if max_iter is not None else 10 * w.n
-    sigma_prev = np.inf
-    sigma = 0.0
-    residual = np.inf
-    for k in range(1, cap + 1):
-        y = _center(a @ v)
-        sigma = float(np.linalg.norm(y))
-        if sigma < 1e-14:
-            return ConsensusEstimate(sigma, "power-iteration", k, tol)
-        z = _center(at @ y)
-        norm_z = np.linalg.norm(z)
-        if norm_z == 0.0:
-            return ConsensusEstimate(sigma, "power-iteration", k, tol)
-        v = _center(z / norm_z)
-        v /= np.linalg.norm(v)
-        residual = abs(sigma - sigma_prev) / sigma
-        if residual <= tol:
-            return ConsensusEstimate(sigma, "power-iteration", k, tol)
-        sigma_prev = sigma
-    return ConsensusEstimate(sigma, "power-iteration", cap, residual, converged=False)
+    s, n = w.structure, w.n
+    column = s.column if isinstance(s, (Circulant, OnePeer)) else None
+    if column is not None:
+        return _circulant_factor(column)
+    if isinstance(s, Grid):   # I - weight L, L the Kronecker sum of two path Laplacians
+        cos = np.cos(np.pi * np.arange(s.m) / s.m)
+        lam = np.abs(1.0 - s.weight * (4.0 - 2.0 * cos[:, None] - 2.0 * cos[None, :]))
+        lam[0, 0] = 0.0   # the consensus direction
+        return ConsensusEstimate(float(lam.max()), "closed-form", 1, 32 * EPS)
+    if isinstance(s, OnePeer) and n >= 3 and np.array_equal(s.partner[s.partner], np.arange(n)):
+        return ConsensusEstimate(1.0, "disconnected", 1, 4 * EPS)
+    if n > DENSE_CUTOFF:
+        raise ParameterError(f"an n = {n} {w.family} matrix carries no structure to read "
+                             f"its factor off, and dense SVD stops at n = {DENSE_CUTOFF}")
+    return _dense_factor(w)
 
 
 def empirical_contraction(topology: GossipMatrix | DynSampler, trials: int,

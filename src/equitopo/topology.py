@@ -1,18 +1,19 @@
 """Construction of doubly-stochastic gossip matrices.
 
 Every family is built from one of three representations, each written
-straight into CSR by one builder:
+straight into CSR by one builder, which leaves it on the matrix as the
+`structure` that `spectral.consensus_factor` reads:
 
 * a circulant column c, W[i, j] = c[(i - j) % n], one weight per shift
-  (`_circulant`, read back by `_circulant_column`): "d-equistatic", the
-  average of M one-peer shift graphs; its symmetrization "u-equistatic";
-  and the baselines ring, static exponential and complete;
+  (`_circulant`, a `Circulant`): "d-equistatic", the average of M one-peer
+  shift graphs; its symmetrization "u-equistatic"; and the baselines ring,
+  static exponential and complete;
 * a partner array, node i mixing with partner[i] and an idle node pointing
-  to itself (`_one_peer`): every basis matrix and every draw of the one-peer
-  samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and one-peer
-  exponential;
-* uniform-weight undirected edge arrays (`_uniform_undirected`): grid, torus
-  and hypercube.
+  to itself (`_one_peer`, a `OnePeer`): every basis matrix and every draw of
+  the one-peer samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and
+  one-peer exponential;
+* uniform-weight undirected edge arrays (`_uniform_undirected`): grid (a
+  `Grid`), torus and hypercube (a `Circulant` over Z_m^2 or Z_2^d).
 
 Node labels are 1-based at the interface (see `mod_n`); matrix storage is
 0-based CSR.  Constructed matrices are immutable and safe to share across
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,6 +52,39 @@ def mod_n(i: int, n: int) -> int:
     return n if r == 0 else r
 
 
+class Circulant(NamedTuple):
+    """W[i, j] = column[i - j] in the group Z_m1 x ... x Z_mk of the column's shape, node i
+    at np.unravel_index(i, shape): Z_n, the torus Z_m^2, the hypercube Z_2^d (i - j = i ^ j)."""
+
+    column: np.ndarray
+
+
+class OnePeer(NamedTuple):
+    """What `_one_peer` is handed; `diag`, a scalar or one per row, is equal on paired rows."""
+
+    partner: np.ndarray
+    off: float
+    diag: float | np.ndarray
+
+    @property
+    def column(self) -> np.ndarray | None:
+        """The cyclic column, diag at 0 and off at v, if partner[i] == (i - v) % n, v != 0."""
+        n = self.partner.size
+        v = -int(self.partner[0]) % n
+        if v == 0 or not np.array_equal(self.partner, (np.arange(n) - v) % n):
+            return None
+        c = np.zeros(n)
+        c[0], c[v] = np.ravel(self.diag)[0], self.off
+        return c
+
+
+class Grid(NamedTuple):
+    """I - weight * L, L the Laplacian of the m x m grid on nodes a * m + b."""
+
+    m: int
+    weight: float
+
+
 @dataclass(frozen=True)
 class GossipMatrix:
     """Immutable sparse doubly-stochastic n x n mixing matrix with provenance tags."""
@@ -58,10 +93,13 @@ class GossipMatrix:
     mat: sparse.csr_array
     family: str
     basis_index: tuple[int, ...] | None = None
+    structure: Circulant | OnePeer | Grid | None = None   # None: built elsewhere
 
     def __post_init__(self):
         for arr in (self.mat.data, self.mat.indices, self.mat.indptr):
             arr.flags.writeable = False
+        if isinstance(self.structure, Circulant):   # not a draw's arrays: no per-draw work
+            self.structure.column.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -160,7 +198,7 @@ def _one_peer(src, off, diag, family, basis_index=None) -> GossipMatrix:
     slot = indptr[:-1][paired] + (src > i)[paired]
     indices[slot], data[slot] = src[paired], off
     return GossipMatrix(n, sparse.csr_array((data, indices, indptr), shape=(n, n)),
-                        family, basis_index)
+                        family, basis_index, OnePeer(src, off, diag))
 
 
 def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
@@ -169,8 +207,8 @@ def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
     eta = 1 yields A itself, bit for bit.
     """
     n = len(src)
-    a_diag = np.where(src != np.arange(n), 1.0 / n, 1.0)
-    return _one_peer(src, (1.0 - 1.0 / n) * eta, (1.0 - eta) + a_diag * eta, family, basis_index)
+    diag = np.where(src != np.arange(n), (1.0 - eta) + (1.0 / n) * eta, (1.0 - eta) + eta)
+    return _one_peer(src, (1.0 - 1.0 / n) * eta, diag, family, basis_index)
 
 
 def basis_matrix(u: int, n: int) -> GossipMatrix:
@@ -196,26 +234,7 @@ def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
     indices = np.subtract(np.arange(n)[:, None], order, out=order)
     np.add(indices, n, out=indices, where=indices < 0)
     mat = sparse.csr_array((data, indices.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
-    return GossipMatrix(n, mat, family, basis_index)
-
-
-def _circulant_column(w: GossipMatrix) -> np.ndarray | None:
-    """Column 0 of `w` when w[i, j] == c[(i - j) % n] for every i, j; else None.
-
-    Every stored entry must be non-zero and match c, and the stored count must
-    be n times the support of c; with no duplicate entries that leaves no
-    stored or missing position outside the circulant pattern.
-    """
-    mat, n = w.mat, w.n
-    if not mat.has_canonical_format or not np.all(mat.data):
-        return None
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    on_col0 = mat.indices == 0
-    c = np.zeros(n)
-    c[rows[on_col0]] = mat.data[on_col0]
-    if mat.nnz != n * np.count_nonzero(c):
-        return None
-    return c if np.array_equal(mat.data, c[(rows - mat.indices) % n]) else None
+    return GossipMatrix(n, mat, family, basis_index, Circulant(c))
 
 
 def build_d_equistatic(spec: TopologySpec, rng=None) -> tuple[GossipMatrix, BasisIndex]:
@@ -238,7 +257,7 @@ def build_d_equistatic(spec: TopologySpec, rng=None) -> tuple[GossipMatrix, Basi
         c[0] = 1.0 / n
         w = _circulant(c, "d-equistatic", values)
         est = consensus_factor(w)
-        if est.converged and est.value <= spec.rho:
+        if est.value <= spec.rho:
             return w, BasisIndex(values, n)
         if est.value < best_value:
             best_w, best_value = w, est.value
@@ -258,9 +277,9 @@ def build_u_equistatic(w: GossipMatrix) -> tuple[GossipMatrix, BasisIndex]:
     """
     if w.basis_index is None:
         raise ParameterError("input matrix carries no basis index")
-    c = _circulant_column(w)
-    if c is None:
-        raise ParameterError("input matrix is not circulant")
+    if not isinstance(w.structure, Circulant) or w.structure.column.ndim != 1:
+        raise ParameterError("input matrix is not a cyclic circulant")
+    c = w.structure.column
     signed = BasisIndex(w.basis_index, w.n).with_reversals()
     c = (c + c[-np.arange(w.n) % w.n]) * 0.5
     return _circulant(c, "u-equistatic", signed.values), signed
@@ -415,11 +434,14 @@ class OnePeerExpSampler(DynSampler):
         return w
 
 
-def _uniform_undirected(i: np.ndarray, j: np.ndarray, n: int, family: str) -> GossipMatrix:
+def _uniform_undirected(i: np.ndarray, j: np.ndarray, n: int, family: str,
+                        group: tuple[int, ...] | None) -> GossipMatrix:
     """Symmetric matrix on the edges (i[e], j[e]), i < j, none repeated, weight 1/(max_degree + 1).
 
     The diagonal absorbs the remainder, which keeps the matrix doubly
-    stochastic even when node degrees differ (e.g. grid borders).
+    stochastic even when node degrees differ (e.g. grid borders).  The edges
+    form the grid, or the Cayley graph of the abelian group of shape `group`,
+    whose column is node 0's row.
     """
     deg = np.bincount(np.concatenate([i, j]), minlength=n)
     w = 1.0 / (deg.max() + 1.0)
@@ -430,7 +452,11 @@ def _uniform_undirected(i: np.ndarray, j: np.ndarray, n: int, family: str) -> Go
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg + 1, out=indptr[1:])
     mat = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
-    return GossipMatrix(n, mat, family)
+    if group is None:
+        return GossipMatrix(n, mat, family, None, Grid(math.isqrt(n), w))
+    c = np.zeros(n)
+    c[j[i == 0]], c[0] = w, 1.0 - deg[0] * w
+    return GossipMatrix(n, mat, family, None, Circulant(c.reshape(group)))
 
 
 def _lattice_edges(m: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +500,6 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
         return OdEquiDynSampler(spec, _dynamic_basis(spec))
     if family in ("ou-equidyn", "ou-equidyn-euclid"):
         return OuEquiDynSampler(spec, _dynamic_basis(spec).with_reversals())
-    n, family = spec.n, spec.family
     if family == "ring":
         deg = 1 if n == 2 else 2
         c = np.zeros(n)
@@ -485,14 +510,17 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
         m = math.isqrt(n)
         if m * m != n:
             raise ParameterError(f"{family} requires n to be a perfect square, got {n}")
-        return _uniform_undirected(*_lattice_edges(m, periodic=(family == "torus")), n, family)
+        periodic = family == "torus"
+        return _uniform_undirected(*_lattice_edges(m, periodic), n, family,
+                                   (m, m) if periodic else None)
     if family == "hypercube":
         if n & (n - 1) != 0:
             raise ParameterError(f"hypercube requires n to be a power of 2, got {n}")
+        d = n.bit_length() - 1
         i = np.arange(n)[:, None]
-        j = i ^ (1 << np.arange(n.bit_length() - 1))
+        j = i ^ (1 << np.arange(d))
         up = i < j
-        return _uniform_undirected(np.broadcast_to(i, j.shape)[up], j[up], n, family)
+        return _uniform_undirected(np.broadcast_to(i, j.shape)[up], j[up], n, family, (2,) * d)
     if family == "static-exp":
         hops = [2**k for k in range(int(math.log2(n - 1)) + 1)]
         c = np.zeros(n)

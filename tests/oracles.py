@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: gradients are checked
 against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
-dense SVD with explicit centering matrices or a long-double DFT, one-peer
+dense SVD with explicit centering matrices, a long-double DFT or a long-double
+closed form, carried circulant columns against the CSR they were built into, one-peer
 draws against dense matrices built node by node, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
 CSV export against a per-entry formatting loop, and the problem kernels
@@ -101,18 +102,52 @@ def matrix_csv_loop(w):
     return "\n".join(lines) + "\n"
 
 
+def circulant_column(w, shape=None):
+    """Column c of `w`, shaped as `shape` (default (n,)), when w[i, j] == c[i - j] for
+    every i, j, the difference taken in the group Z_m1 x ... x Z_mk of that shape
+    with node i at np.unravel_index(i, shape); else None.
+
+    Every stored entry must be non-zero and match c, and the stored count must
+    be n times the support of c; with no duplicate entries that leaves no
+    stored or missing position outside the circulant pattern.
+    """
+    mat, n = w.mat, w.n
+    shape = shape or (n,)
+    if not mat.has_canonical_format or not np.all(mat.data):
+        return None
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    on_col0 = mat.indices == 0
+    c = np.zeros(n)
+    c[rows[on_col0]] = mat.data[on_col0]
+    if mat.nnz != n * np.count_nonzero(c):
+        return None
+    diff = tuple((a - b) % m for a, b, m in zip(np.unravel_index(rows, shape),
+                                                 np.unravel_index(mat.indices, shape), shape))
+    return c.reshape(shape) if np.array_equal(mat.data, c[np.ravel_multi_index(diff, shape)]) \
+        else None
+
+
 def circulant_factor_extended(c):
-    """max_{k != 0} |sum_u c_u exp(-2 pi i u k / n)|, summed term by term in long double."""
-    c = np.asarray(c, dtype=np.longdouble)
-    n = c.size
+    """max over non-zero frequencies k of |sum_g c_g exp(-2 pi i <g, k>)|, the DFT of c over
+    the group its shape names, in long double: one DFT matrix per axis, entry by entry."""
+    x = np.asarray(c, dtype=np.clongdouble)
     pi = np.arccos(np.longdouble(-1.0))
-    u = np.arange(n)
-    best = np.longdouble(0.0)
-    for k in range(1, n):
-        angle = 2 * pi * ((u * k) % n).astype(np.longdouble) / n
-        re, im = (c * np.cos(angle)).sum(), (c * np.sin(angle)).sum()
-        best = max(best, np.sqrt(re * re + im * im))
-    return best
+    for axis, m in enumerate(x.shape):
+        k = np.arange(m)
+        angle = 2 * pi * ((k[:, None] * k[None, :]) % m).astype(np.longdouble) / m
+        x = np.moveaxis(np.tensordot(np.cos(angle) - 1j * np.sin(angle), x, axes=([1], [axis])),
+                        0, axis)
+    return np.abs(x.ravel()[1:]).max(initial=np.longdouble(0.0))
+
+
+def grid_factor_extended(m, weight):
+    """max over (a, b) != (0, 0) of |1 - weight (4 - 2 cos(pi a / m) - 2 cos(pi b / m))|,
+    the eigenvalues of I - weight * L on the m x m grid, in long double."""
+    pi = np.arccos(np.longdouble(-1.0))
+    cos = np.cos(pi * np.arange(m).astype(np.longdouble) / m)
+    lam = np.abs(1 - np.longdouble(weight) * (4 - 2 * cos[:, None] - 2 * cos[None, :]))
+    lam[0, 0] = 0
+    return lam.max()
 
 
 def lattice_edge_set(m, periodic):

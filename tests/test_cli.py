@@ -1,11 +1,10 @@
-import functools
+import hashlib
 import re
 
 import pytest
 
 import equitopo.cli
 from equitopo.cli import UsageError, main, parse_config
-from equitopo.spectral import consensus_factor
 
 
 def run_cli(argv, capsys=None):
@@ -43,7 +42,7 @@ VALID_ARGV = {
 REJECTED = [
     ("iters", "consensus", "iters", "0", "iters"),
     ("trials", "topo-verify", "trials", "0", "trials"),
-    ("tol", "topo-build", "tol", "0", "tol"),
+    ("tol", "topo-build", "tol", "0", "tol"),   # no longer a flag of any command
     ("samples", "dsgd", "samples", "0", "samples"),
     ("d", "dsgt", "d", "0", "d"),
     ("sigma_s", "dsgd", "sigma-s", "-1", "sigma_s"),
@@ -66,6 +65,12 @@ REJECTED = [
     ("sizes-unparsable", "size-sweep", "sizes", "9,x", "sizes"),
     ("family-unknown", "topo-build", "family", "bogus", "family"),
     ("problem-unknown", "dsgd", "problem", "bogus", "problem"),
+    ("m_log_scale-inf", "size-sweep", "m-log-scale", "inf", "m_log_scale"),
+    ("gamma0-inf", "dsgd", "gamma0", "inf", "gamma0"),
+    ("sigma_n-inf", "dsgt", "sigma-n", "inf", "sigma_n"),
+    ("reg-inf", "dsgt", "reg", "inf", "reg"),
+    ("decay_factor-inf", "dsgd", "decay-factor", "inf", "decay_factor"),
+    ("rho-nan", "topo-verify", "rho", "nan", "rho"),
 ]
 
 
@@ -121,10 +126,11 @@ def test_sizes_parsing():
     assert cfg.sizes == (9, 16, 25)
 
 
-# one raw flag value per field and the value it must parse into
+# one raw flag value per field and the value it must parse into; `tol` is no
+# field, and every command must reject it
 FLAG_VALUES = {
     "seed": ("7", 7), "family": ("ring", "ring"), "n": ("9", 9), "rho": ("0.25", 0.25),
-    "p": ("0.3", 0.3), "m": ("4", 4), "eta": ("0.7", 0.7), "tol": ("1e-9", 1e-9),
+    "p": ("0.3", 0.3), "m": ("4", 4), "eta": ("0.7", 0.7), "tol": ("1e-9", None),
     "trials": ("5", 5), "iters": ("6", 6), "sizes": ("9,16", (9, 16)),
     "m_log_scale": ("2.5", 2.5), "problem": ("least-squares", "least-squares"),
     "d": ("3", 3), "samples": ("11", 11), "sigma_s": ("0.05", 0.05),
@@ -136,8 +142,8 @@ COMMON = {"seed", "family", "n", "rho", "p", "m", "eta", "out"}
 OPTIM = COMMON | {"iters", "trials", "problem", "d", "samples", "sigma_s", "sigma_n",
                   "sigma_h", "reg", "gamma0", "decay_factor", "decay_period"}
 ACCEPTED = {
-    "topo-build": COMMON | {"tol"}, "build": COMMON | {"tol"},
-    "topo-verify": COMMON | {"trials", "tol"}, "verify": COMMON | {"trials", "tol"},
+    "topo-build": COMMON, "build": COMMON,
+    "topo-verify": COMMON | {"trials"}, "verify": COMMON | {"trials"},
     "consensus": COMMON | {"iters", "trials"},
     "size-sweep": COMMON | {"sizes", "iters", "trials", "m_log_scale"},
     "dsgd": OPTIM, "dsgt": OPTIM,
@@ -197,24 +203,84 @@ def test_topo_build_sidecar_names_exact_method(tmp_path):
     assert "converged" not in meta
 
 
-def test_unconverged_factor_marked_and_sidecar_replays(tmp_path, monkeypatch):
-    out, replay = tmp_path / "g.csv", tmp_path / "replay.csv"
-    assert run_cli(["topo-build", "--family", "grid", "--n", "100", "--tol", "1e-300",
-                    "--out", out]) == 0
-    meta = read_meta(tmp_path / "g.csv.meta")
-    assert (meta["method"], meta["tol"], meta["rho_tolerance"]) == \
-        ("power-iteration", "1e-300", "1e-300")
-    assert "converged" not in meta   # the estimate repeated bit for bit before the cap
-    # no family reaches the cap from the command line, so cap the iteration here
-    monkeypatch.setattr(equitopo.cli, "consensus_factor",
-                        functools.partial(consensus_factor, max_iter=3))
-    assert run_cli(["topo-build", "--family", "grid", "--n", "100", "--tol", "1e-300",
-                    "--out", out]) == 0
-    meta = read_meta(tmp_path / "g.csv.meta")
-    assert meta["converged"] == "False"
-    assert float(meta["rho_tolerance"]) > 1e-300   # the residual reached at the cap
-    assert run_cli(["topo-build", "--config", str(out) + ".meta", "--out", replay]) == 0
-    assert out.read_bytes() == replay.read_bytes()
+# sidecars in the format that still wrote `tol`, one from a grid whose power
+# iteration was stopped at its cap (`converged = False`), each with the
+# SHA-256 of the CSV it came with
+OLD_FORMAT_SIDECARS = {
+    "d.csv": ("""command = topo-build
+family = d-equistatic
+n = 30
+rho = 0.5
+p = 0.5
+m = 52
+eta = 0.5
+seed = 1
+trials = 3
+tol = 1e-10
+d = 10
+samples = 50
+sigma-s = 0.1
+sigma-n = 1.0
+sigma-h = 0.2
+reg = 0.001
+decay-factor = 1.0
+out = d.csv
+rho_target = 0.5
+rho_measured = 0.1916572809086577
+method = circulant-fft
+basis_index = 19,6,2,24,21,21,11,17,15,7,20,8,28,28,14,19,12,26,27,14,2,20,3,22,11,12,4,\
+17,28,27,23,20,12,29,21,8,14,10,28,24,11,2,14,10,4,9,1,5,19,12,7,7
+rho_tolerance = 1.4739751958019378e-14
+""", "1859096f0b1e219cbfaedc91501b86a44550281b911b8e767dd18aea6286cfb6"),
+    "g.csv": ("""command = topo-build
+family = grid
+n = 100
+rho = 0.5
+p = 0.5
+eta = 0.5
+seed = 0
+trials = 3
+tol = 1e-300
+d = 10
+samples = 50
+sigma-s = 0.1
+sigma-n = 1.0
+sigma-h = 0.2
+reg = 0.001
+decay-factor = 1.0
+out = g.csv
+rho_target = 0.5
+rho_measured = 0.9132211230871958
+method = power-iteration
+rho_tolerance = 0.07834083125448675
+converged = False
+""", "dcddbb41061ff246fb145c53c1898f2f88c85643888c84a5b42c21e36680101e"),
+}
+
+
+def test_unconverged_factor_marked_and_sidecar_replays(tmp_path):
+    for name, (text, digest) in OLD_FORMAT_SIDECARS.items():
+        meta = tmp_path / (name + ".meta")
+        meta.write_text(text.replace("out = " + name, f"out = {tmp_path / name}"))
+        assert run_cli(["topo-build", "--config", meta]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        echoed = read_meta(meta)   # the replay wrote its own sidecar over the old one
+        assert "tol" not in echoed and "converged" not in echoed
+
+
+def test_hash_inside_a_value_survives_replay(tmp_path, capsys):
+    out = tmp_path / "a#b.csv"
+    assert run_cli(["topo-build", "--family", "ring", "--n", "9", "--out", out]) == 0
+    first = out.read_bytes()
+    meta = tmp_path / "a#b.csv.meta"
+    assert f"out = {out}\n" in meta.read_text()
+    assert run_cli(["topo-build", "--config", meta]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a#b.csv", "a#b.csv.meta"]
+    assert out.read_bytes() == first
+    # a line whose first non-blank character is `#` is still a comment
+    conf = tmp_path / "run.conf"
+    conf.write_text("  # family = grid\nfamily = ring\nn = 9\n")
+    assert parse_config(["topo-build", "--config", str(conf)]).family == "ring"
 
 
 def test_build_alias_matches_topo_build(tmp_path):
@@ -324,6 +390,18 @@ def test_dsgd_divergence_exit_code(tmp_path):
     replay = tmp_path / "replay.csv"
     assert run_cli(["dsgd", "--config", str(out) + ".meta", "--out", replay]) == 4
     assert out.read_bytes() == replay.read_bytes()
+
+
+def test_dsgd_divergence_before_first_record(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code = run_cli(["dsgd", "--family", "ring", "--n", "10", "--iters", "3",
+                    "--sigma-s", "1e300", "--out", out])
+    assert code == 4
+    assert out.read_text() == "algo,family,n,trial,iter,grad_norm_sq,loss,consensus_residual\n"
+    assert read_meta(tmp_path / "d.csv.meta")["diverged_trials"] == "0,1,2"
+    captured = capsys.readouterr()
+    assert "no finite record [diverged]" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_dsgt_defaults_to_logistic(tmp_path):

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 import equitopo as eq
 
-from equitopo.topology import _circulant_column
+from equitopo.topology import DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES
 
-from oracles import circulant_factor_extended, dense_consensus_factor
+from oracles import (circulant_column, circulant_factor_extended, dense_consensus_factor,
+                     grid_factor_extended)
+
+EPS = float(np.finfo(float).eps)
 
 
 def as_gossip(dense, family="custom"):
@@ -33,21 +38,6 @@ def test_ring4_factor_is_one_third():
     assert eq.consensus_factor(w).value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("family,n", [
-    ("ring", 16), ("torus", 16), ("hypercube", 16), ("static-exp", 20),
-    ("d-equistatic", 50), ("u-equistatic", 50),
-])
-def test_power_iteration_matches_dense(family, n):
-    tol = 1e-10
-    w = eq.build_topology(eq.TopologySpec(family, n, rho=0.9, seed=1))
-    dense_est = eq.consensus_factor(w, method="dense-eig")
-    power_est = eq.consensus_factor(w, tol=tol, method="power-iteration")
-    assert power_est.converged
-    assert abs(power_est.value - dense_est.value) <= 10 * tol * max(1.0, dense_est.value)
-    # and both agree with the from-scratch projector oracle
-    assert dense_est.value == pytest.approx(dense_consensus_factor(w.toarray()), abs=1e-12)
-
-
 def circulant_cases(n):
     """One matrix of every kind that is circulant by construction, at size n."""
     spec = eq.TopologySpec("d-equistatic", n, rho=0.9, seed=n)
@@ -72,7 +62,7 @@ def test_circulant_factor_is_exact(n):
             ("circulant-fft", 1, True), name
         assert 0.0 < est.tolerance_or_stderr <= 1e-12
         assert abs(est.value - dense_consensus_factor(w.toarray())) <= 1e-12, name
-        exact = circulant_factor_extended(_circulant_column(w))
+        exact = circulant_factor_extended(circulant_column(w))
         assert abs(est.value - exact) <= est.tolerance_or_stderr, name
 
 
@@ -111,30 +101,89 @@ def altered_circulants(n):
             "row-swapped": as_gossip(swapped),
             "explicit-zero": with_stored_zero(dense, *np.argwhere(dense == 0.0)[0]),
             "zero-moved": with_stored_zero(moved, 1, np.argwhere(dense[1] == 0.0)[0, 0]),
-            "duplicated": eq.GossipMatrix(n, duplicated, "custom"), "ou-equidyn": ou}
+            "duplicated": eq.GossipMatrix(n, duplicated, "custom"),
+            "ou-equidyn": eq.GossipMatrix(n, ou.mat, "custom")}
 
 
 @pytest.mark.parametrize("n", [25, 101])
 def test_non_circulant_falls_back(n):
-    expected = "dense-eig" if n <= 64 else "power-iteration"
+    """A matrix that carries no structure gets dense SVD up to n = 64 and an error above."""
     for name, w in altered_circulants(n).items():
-        assert _circulant_column(w) is None, name
+        assert w.structure is None and circulant_column(w) is None, name
+        if n > 64:
+            with pytest.raises(eq.ParameterError, match="no structure"):
+                eq.consensus_factor(w)
+            continue
         est = eq.consensus_factor(w)
-        assert est.method == expected, name
-        # ||(I - J) W v|| for a unit v never exceeds the norm, converged or not
-        assert est.value <= dense_consensus_factor(w.toarray()) + 1e-12, name
+        assert est.method == "dense-eig", name
+        assert abs(est.value - dense_consensus_factor(w.toarray())) <= est.tolerance_or_stderr
+
+
+def family_sizes(family):
+    """Every size up to 256 a family admits: squares for the lattices, powers of 2 for the cube."""
+    if family in ("grid", "torus"):
+        return [m * m for m in range(2, 17)]
+    if family == "hypercube":
+        return [2**k for k in range(1, 9)]
+    return list(range(2, 80)) + [97, 128, 255, 256]
+
+
+EXPECTED_METHOD = {"grid": "closed-form", "ou-equidyn": "disconnected",
+                   "ou-equidyn-euclid": "disconnected"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_factor_is_read_off_structure_and_matches_dense(family):
+    """Each family's factor, from its carried structure, against the dense SVD oracle.
+
+    The oracle forms (I - J) W (I - J) with n-term float products, which can
+    move its answer by ~0.2 n eps (1e-14 at n = 255, well above a matching's
+    4 eps), so the comparison allows n eps on top of the reported tolerance.
+    """
+    for n in family_sizes(family):
+        for seed in range(2):
+            m = n - 1 if family in EQUI_DYNAMIC_FAMILIES and seed == 0 else None
+            try:
+                topo = eq.build_topology(eq.TopologySpec(family, n, rho=0.9, m=m, seed=seed))
+            except eq.ConstructionError as exc:   # tiny n may miss rho
+                topo = exc.best_matrix
+            w = topo.sample() if family in DYNAMIC_FAMILIES else topo
+            est = eq.consensus_factor(w)
+            column = getattr(w.structure, "column", None)
+            # an ou-* matching of shift n/2 is that shift
+            method = "circulant-fft" if column is not None else EXPECTED_METHOD[family]
+            assert (est.method, est.iterations_or_trials) == (method, 1), (n, seed)
+            assert 0.0 < est.tolerance_or_stderr <= 1e-11
+            dense = dense_consensus_factor(w.toarray())
+            assert abs(est.value - dense) <= est.tolerance_or_stderr + n * EPS, (n, seed)
+            if column is not None:
+                assert column.tobytes() == circulant_column(w, column.shape).tobytes()
+            # wherever the cyclic oracle finds a column, it is the one carried
+            cyclic = circulant_column(w)
+            if cyclic is not None:
+                assert column.tobytes() == cyclic.tobytes(), (n, seed)
 
 
 @pytest.mark.parametrize("family,n", [
     ("grid", 9), ("grid", 25), ("grid", 100), ("torus", 9), ("torus", 36), ("torus", 100),
     ("hypercube", 8), ("hypercube", 32), ("hypercube", 128),
+    ("grid", 10000), ("torus", 10000), *[("hypercube", 2**k) for k in (1, 2, 10, 13)],
 ])
-def test_lattice_baselines_fall_back(family, n):
+def test_lattice_factor_is_exact(family, n):
+    """Lattice factors against a long-double reference, up to m = 100 and 2^13 nodes."""
     w = eq.build_topology(eq.TopologySpec(family, n))
     est = eq.consensus_factor(w)
-    assert est.method == ("dense-eig" if n <= 64 else "power-iteration")
-    assert est.converged
-    assert est.value == pytest.approx(dense_consensus_factor(w.toarray()), abs=1e-8)
+    assert 0.0 < est.tolerance_or_stderr <= 1e-11
+    if family == "grid":
+        assert (w.structure.m, w.structure.weight) == (math.isqrt(n), w.mat[0, 1])
+        exact = grid_factor_extended(w.structure.m, w.structure.weight)
+    else:
+        column = w.structure.column
+        assert column.shape == ((2,) * (n.bit_length() - 1) if family == "hypercube"
+                                else (math.isqrt(n),) * 2)
+        assert column.tobytes() == circulant_column(w, column.shape).tobytes()
+        exact = circulant_factor_extended(column)
+    assert abs(est.value - exact) <= est.tolerance_or_stderr
 
 
 def lattice_factor(m, periodic):
@@ -155,7 +204,8 @@ def lattice_factor(m, periodic):
     *[("grid", m * m, lattice_factor(m, False)) for m in range(3, 9)],
 ])
 def test_dense_eig_tolerance_covers_closed_form(family, n, exact):
-    est = eq.consensus_factor(eq.build_topology(eq.TopologySpec(family, n)))
+    w = eq.build_topology(eq.TopologySpec(family, n))
+    est = eq.consensus_factor(eq.GossipMatrix(n, w.mat, family))   # its structure left behind
     assert est.method == "dense-eig"
     assert 0.0 < est.tolerance_or_stderr <= 1e-12
     assert abs(est.value - exact) <= est.tolerance_or_stderr
@@ -163,26 +213,18 @@ def test_dense_eig_tolerance_covers_closed_form(family, n, exact):
 
 def test_factor_invariant_under_relabeling():
     w, _ = eq.build_d_equistatic(eq.TopologySpec("d-equistatic", 40, rho=0.8, seed=5))
-    base = eq.consensus_factor(w, method="dense-eig").value
+    base = eq.consensus_factor(w).value
     rng = np.random.default_rng(0)
     for _ in range(5):
         perm = rng.permutation(40)
         permuted = as_gossip(w.toarray()[np.ix_(perm, perm)])
-        assert eq.consensus_factor(permuted, method="dense-eig").value == \
-            pytest.approx(base, abs=1e-12)
+        assert eq.consensus_factor(permuted).value == pytest.approx(base, abs=1e-12)
 
 
 def test_factor_at_most_one_for_doubly_stochastic():
     for family, n in [("ring", 25), ("grid", 25), ("static-exp", 18)]:
         est = eq.consensus_factor(eq.build_topology(eq.TopologySpec(family, n)))
         assert est.value <= 1.0 + 1e-10
-
-
-def test_power_iteration_flags_non_convergence():
-    w = eq.build_topology(eq.TopologySpec("ring", 100))
-    est = eq.consensus_factor(w, tol=1e-15, method="power-iteration", max_iter=3)
-    assert not est.converged
-    assert est.tolerance_or_stderr > 1e-15   # achieved residual reported
 
 
 def test_empirical_contraction_static_respects_factor_bound():

@@ -9,11 +9,10 @@ import equitopo as eq
 from scipy import sparse
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, _circulant, _circulant_column, _lattice_edges,
-                               _uniform_undirected)
+                               STATIC_FAMILIES, _circulant, _lattice_edges, _uniform_undirected)
 
-from oracles import (circulant_coo, euclid_matching, hop_permutation, hypercube_edge_set,
-                     lattice_edge_set, matched_node_count, matrix_csv_loop,
+from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
+                     hypercube_edge_set, lattice_edge_set, matched_node_count, matrix_csv_loop,
                      uniform_undirected_coo)
 
 
@@ -177,7 +176,8 @@ def test_circulant_matches_coo_assembly(data):
     w = _circulant(c, "circulant")
     assert_same_csr(w.mat, circulant_coo(c))
     assert w.mat.has_canonical_format
-    assert _circulant_column(w).tobytes() == c.tobytes()
+    assert circulant_column(w).tobytes() == c.tobytes()
+    assert w.structure.column.tobytes() == c.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33, 100])
@@ -185,8 +185,9 @@ def test_circulant_matches_coo_assembly(data):
                                     "complete"])
 def test_circulant_families_match_coo_assembly(family, n):
     w = eq.build_topology(eq.TopologySpec(family, n, rho=0.9, seed=n))
-    c = _circulant_column(w)
+    c = circulant_column(w)
     assert c is not None
+    assert w.structure.column.tobytes() == c.tobytes()
     assert_same_csr(w.mat, circulant_coo(c))
 
 
@@ -435,7 +436,7 @@ def test_lattices_match_edge_set_assembly(family):
     for m in range(1, 41):
         n = m * m
         if n == 1:   # below the smallest TopologySpec, so through the builder itself
-            w = _uniform_undirected(*_lattice_edges(1, periodic), 1, family)
+            w = _uniform_undirected(*_lattice_edges(1, periodic), 1, family, None)
         else:
             w = eq.build_topology(eq.TopologySpec(family, n))
         assert_same_csr(w.mat, uniform_undirected_coo(lattice_edge_set(m, periodic), n))
