@@ -6,15 +6,22 @@ import os
 import tempfile
 from pathlib import Path
 
+WRITE_SLICE = 1 << 20   # characters encoded per write: a long text is never encoded whole
+
 
 def atomic_write_text(path, text: str) -> Path:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+
+    The text goes out in slices of WRITE_SLICE characters, so no encoded copy
+    of all of it is ever held; the bytes are those of one `write(text)`.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for start in range(0, len(text), WRITE_SLICE):
+                fh.write(text[start:start + WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -23,6 +23,7 @@ workers; samplers are single-owner mutable state.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -42,6 +43,7 @@ DYNAMIC_FAMILIES = EQUI_DYNAMIC_FAMILIES + BASELINE_DYNAMIC_FAMILIES
 FAMILIES = STATIC_FAMILIES + DYNAMIC_FAMILIES
 
 RESAMPLE_CAP = 50
+CSV_BLOCK = 1 << 16   # entries per numpy pass of `matrix_csv_text`
 
 
 def mod_n(i: int, n: int) -> int:
@@ -223,11 +225,17 @@ def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
     Row i stores the support S of c at columns (i - u) % n.  Walking S from
     the largest shift down gives ascending columns i - u for u <= i; the
     shifts above i land on columns above i, so they rotate to the row's end.
-    The rows from one shift up to the next share one rotation.
+    The rows from one shift up to the next share one rotation.  A matrix whose
+    CSR (8-byte data and indices) would not fit in physical memory is refused
+    before anything is allocated.
     """
     n = c.size
     shifts = np.flatnonzero(c)
     k = shifts.size
+    need, have = 16 * n * k, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ParameterError(f"an n = {n} {family} matrix stores {n * k} entries, "
+                             f"{need} bytes of CSR, more than the {have} bytes of physical memory")
     rotations = sliding_window_view(np.tile(shifts[::-1], 2), k)[k::-1]
     order = np.repeat(rotations, np.diff(shifts, prepend=0, append=n), axis=0)
     data = c[order].ravel()
@@ -534,20 +542,31 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
 def matrix_csv_text(w: GossipMatrix) -> str:
     """Sparse triplet export: header `row,col,weight`, 0-based, full precision.
 
-    Lines follow the CSR in row, then column order, one row at a time.  Each
-    node label and each distinct weight's repr is formatted once; weights are
-    told apart by their bits, so -0.0 and 0.0 keep their own text.
+    Lines follow the CSR in row, then column order.  Each line is read from
+    three byte tables formatted once: the row labels "i,", the column labels
+    "j", and one cell ",repr(x)\n" per distinct weight, told apart by its bits
+    so that -0.0 and 0.0 keep their own text.  A table is NUL-padded to its
+    widest item.  Each block of CSV_BLOCK entries gathers its three items per
+    line into one record array, whose bytes less the NULs are the block's lines.
     """
     mat = w.mat if w.mat.has_sorted_indices else w.mat.sorted_indices()
-    data = mat.data.astype(np.float64, copy=False)
-    bits, weight_of = np.unique(data.view(np.int64), return_inverse=True)
-    cells = ["," + repr(x) + "\n" for x in bits.view(np.float64).tolist()]
-    labels = [str(i) for i in range(w.n)]
-    bounds = mat.indptr.tolist()
+    bits = mat.data.astype(np.float64, copy=False).view(np.int64)
+    distinct = np.unique(bits)
+    cells = np.array([("," + repr(x) + "\n").encode() for x in distinct.view(np.float64).tolist()],
+                     dtype=bytes)
+    cols = np.arange(w.n).astype(f"S{len(str(w.n - 1))}")
+    rows = np.char.add(cols, b",")
+    block = np.empty(min(mat.nnz, CSV_BLOCK), [("row", rows.dtype), ("col", cols.dtype),
+                                               ("weight", cells.dtype)])
+    indptr = mat.indptr
     parts = ["row,col,weight\n"]
-    for i in range(w.n):
-        lo, hi = bounds[i], bounds[i + 1]
-        prefix = labels[i] + ","
-        parts.append("".join([prefix + labels[j] + cells[k] for j, k in
-                              zip(mat.indices[lo:hi].tolist(), weight_of[lo:hi].tolist())]))
+    for lo in range(0, mat.nnz, CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, mat.nnz)
+        lines = block[:hi - lo]
+        first, last = np.searchsorted(indptr, (lo, hi - 1), side="right") - 1
+        lines["row"] = rows[np.repeat(np.arange(first, last + 1),
+                                      np.diff(np.clip(indptr[first:last + 2], lo, hi)))]
+        lines["col"] = cols[mat.indices[lo:hi]]
+        lines["weight"] = cells[np.searchsorted(distinct, bits[lo:hi])]
+        parts.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)

@@ -3,7 +3,7 @@
 These deliberately avoid the package's own code paths: gradients are checked
 against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
-dense SVD with explicit centering matrices, a long-double DFT or a long-double
+dense SVD of the mean-centred matrix, a long-double DFT or a long-double
 closed form, carried circulant columns against the CSR they were built into, one-peer
 draws against dense matrices built node by node, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
@@ -38,11 +38,14 @@ def gradient_descent_path(grad, x0, schedule, iters):
 
 
 def dense_consensus_factor(dense_w):
-    """sigma_max of (I - J) W (I - J) via explicit projector matrices."""
+    """sigma_max of (I - J) W (I - J), centred by subtracting column means, then row means.
+
+    Forming the projector products instead moves the answer by up to ~0.2 n eps.
+    """
     a = np.asarray(dense_w, dtype=float)
-    n = a.shape[0]
-    pi = np.eye(n) - np.ones((n, n)) / n
-    return float(np.linalg.svd(pi @ a @ pi, compute_uv=False)[0])
+    b = a - a.mean(axis=0, keepdims=True)
+    b -= b.mean(axis=1, keepdims=True)
+    return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
 def matched_node_count(dense_a):
@@ -97,8 +100,9 @@ def matrix_csv_loop(w):
     coo = w.mat.tocoo()
     order = np.lexsort((coo.col, coo.row))
     lines = ["row,col,weight"]
-    for idx in order:
-        lines.append(f"{coo.row[idx]},{coo.col[idx]},{float(coo.data[idx])!r}")
+    for r, c, x in zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                       coo.data[order].astype(float).tolist()):
+        lines.append(f"{r},{c},{x!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,12 @@
 import hashlib
+import os
 import re
 
 import pytest
 
 import equitopo.cli
-from equitopo.cli import UsageError, main, parse_config
+from equitopo.cli import UsageError, atomic_write_text, main, parse_config
+from equitopo.output import WRITE_SLICE
 
 
 def run_cli(argv, capsys=None):
@@ -429,3 +431,24 @@ def test_construction_failure_exit_code(tmp_path, capsys):
                     "--rho", "0.05", "--m", "1", "--out", tmp_path / "x.csv"])
     assert code == 3
     assert "construction failed" in capsys.readouterr().err
+
+
+def test_matrix_beyond_physical_memory_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    """complete n = 10^5 stores 10^10 entries, 1.6e11 bytes of CSR: exit 2, nothing written."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    pages = min(os.sysconf("SC_PHYS_PAGES"), 2**36 // page)   # a larger host counts as 64 GiB
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": pages}.__getitem__)
+    out = tmp_path / "w.csv"
+    assert run_cli(["topo-build", "--family", "complete", "--n", "100000", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "10000000000 entries" in err and "160000000000 bytes" in err and "physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["", "a" * WRITE_SLICE, "a" * (WRITE_SLICE + 1),
+                                  "a" * (WRITE_SLICE - 2) + "\u00e9\u20ac\U0001f600" * 3],
+                         ids=["empty", "one-slice", "past-one-slice", "multi-byte-across"])
+def test_atomic_write_text_writes_what_write_text_writes(text, tmp_path):
+    atomic_write_text(tmp_path / "sliced", text)
+    (tmp_path / "whole").write_text(text)
+    assert (tmp_path / "sliced").read_bytes() == (tmp_path / "whole").read_bytes()

@@ -136,9 +136,9 @@ EXPECTED_METHOD = {"grid": "closed-form", "ou-equidyn": "disconnected",
 def test_factor_is_read_off_structure_and_matches_dense(family):
     """Each family's factor, from its carried structure, against the dense SVD oracle.
 
-    The oracle forms (I - J) W (I - J) with n-term float products, which can
-    move its answer by ~0.2 n eps (1e-14 at n = 255, well above a matching's
-    4 eps), so the comparison allows n eps on top of the reported tolerance.
+    The oracle centres W by its column and row means; the rounding of those
+    means and of its SVD can put it a few eps from the exact factor, so the
+    comparison allows min(n, 4) eps on top of the reported tolerance.
     """
     for n in family_sizes(family):
         for seed in range(2):
@@ -155,7 +155,7 @@ def test_factor_is_read_off_structure_and_matches_dense(family):
             assert (est.method, est.iterations_or_trials) == (method, 1), (n, seed)
             assert 0.0 < est.tolerance_or_stderr <= 1e-11
             dense = dense_consensus_factor(w.toarray())
-            assert abs(est.value - dense) <= est.tolerance_or_stderr + n * EPS, (n, seed)
+            assert abs(est.value - dense) <= est.tolerance_or_stderr + min(n, 4) * EPS, (n, seed)
             if column is not None:
                 assert column.tobytes() == circulant_column(w, column.shape).tobytes()
             # wherever the cyclic oracle finds a column, it is the one carried

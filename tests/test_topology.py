@@ -9,7 +9,8 @@ import equitopo as eq
 from scipy import sparse
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, _circulant, _lattice_edges, _uniform_undirected)
+                               STATIC_FAMILIES, CSV_BLOCK, _circulant, _lattice_edges,
+                               _uniform_undirected)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_edge_set, lattice_edge_set, matched_node_count, matrix_csv_loop,
@@ -511,6 +512,11 @@ def test_dynamic_basis_from_parent_when_m_not_complete():
     assert len(sampler.basis_index) == 5
 
 
+def test_d_equistatic_builds_at_n_1e5():
+    w = eq.build_topology(eq.TopologySpec("d-equistatic", 100_000, rho=0.5, seed=0))
+    assert w.mat.nnz == w.n * np.count_nonzero(w.structure.column)
+
+
 # ---------------------------------------------------------------- export
 
 def test_matrix_csv_round_trip():
@@ -559,6 +565,50 @@ def test_matrix_csv_matches_loop_export_for_distinct_and_long_weights():
                                  mat.indptr.copy()), shape=(6, 6))
     assert not unsorted.has_sorted_indices
     w = eq.GossipMatrix(6, unsorted, "custom")
+    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+
+
+@pytest.mark.parametrize("family", ("d-equistatic", "ring", "complete"))
+@pytest.mark.parametrize("n", (9, 10, 11, 99, 100, 101, 999, 1000, 1001))
+def test_matrix_csv_matches_loop_export_across_label_widths(family, n):
+    w = eq.build_topology(eq.TopologySpec(family, n, rho=0.5, seed=n))
+    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+
+
+def test_matrix_csv_spans_several_blocks():
+    w = eq.build_topology(eq.TopologySpec("d-equistatic", 2000, rho=0.5, seed=1))
+    # rows of M entries straddle the block boundaries
+    assert w.mat.nnz > 2 * CSV_BLOCK and CSV_BLOCK % (w.mat.nnz // w.n) != 0
+    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+
+
+def test_matrix_csv_of_empty_rows_and_no_entries():
+    mat = sparse.csr_array((np.array([0.5, 0.25, 0.25]), np.array([3, 0, 2]),
+                            np.array([0, 1, 1, 1, 3])), shape=(4, 4))
+    w = eq.GossipMatrix(4, mat, "custom")
+    assert eq.matrix_csv_text(w) == matrix_csv_loop(w) == "row,col,weight\n0,3,0.5\n" \
+        "3,0,0.25\n3,2,0.25\n"
+    w = eq.GossipMatrix(5, sparse.csr_array((5, 5)), "custom")
+    assert eq.matrix_csv_text(w) == matrix_csv_loop(w) == "row,col,weight\n"
+
+
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 0.1 + 0.2,
+                                     1 / 3, -1e300, 0.5]),
+                    st.floats(allow_nan=False, width=64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                WEIGHTS, max_size=3 * n))))
+def test_matrix_csv_matches_loop_export_on_random_sparse(case):
+    """Random sparse matrices: repeated weights, -0.0 next to 0.0, subnormals, long reprs."""
+    n, entries = case
+    rows, cols = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
+    mat = sparse.coo_array((np.array(list(entries.values()), dtype=float), (rows, cols)),
+                           shape=(n, n)).tocsr()
+    assert mat.nnz == len(entries)
+    w = eq.GossipMatrix(n, mat, "custom")
     assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
 
 
