@@ -265,8 +265,7 @@ def _cmd_topo_verify(config: ExperimentConfig) -> int:
 
 
 def _cmd_consensus(config: ExperimentConfig) -> int:
-    trace = consensus_experiment(_spec_from(config), config.iters, config.trials,
-                                 master_seed=config.seed)
+    trace = consensus_experiment(_spec_from(config), config.iters, config.trials)
     path = _out_path(config)
     _write(config, path, trace.csv_text())
     final = trace.residual[trace.iteration == config.iters]

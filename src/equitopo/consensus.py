@@ -15,6 +15,7 @@ from .seeds import derive_seed, make_rng
 from .topology import DynSampler, GossipMatrix, TopologySpec, build_topology
 
 RESIDUAL_FLOOR = 1e-13
+TRANSIENT_ITERS = 2
 
 
 @dataclass
@@ -70,18 +71,16 @@ def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int,
         meta={"max_mean_drift": max_drift})
 
 
-def consensus_experiment(spec: TopologySpec, iters: int, trials: int,
-                         master_seed: int | None = None) -> ConsensusTrace:
-    """Independent repetitions: fresh topology and fresh x0 per trial."""
+def consensus_experiment(spec: TopologySpec, iters: int, trials: int) -> ConsensusTrace:
+    """Independent repetitions from `spec.seed`: fresh topology and fresh x0 per trial."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    master = spec.seed if master_seed is None else master_seed
     parts = []
     drift = 0.0
     for k in range(trials):
-        sub = replace(spec, seed=derive_seed(master, "trial", k))
+        sub = replace(spec, seed=derive_seed(spec.seed, "trial", k))
         topology = build_topology(sub)
-        x0 = make_rng(master, "x0", k).standard_normal(spec.n)
+        x0 = make_rng(spec.seed, "x0", k).standard_normal(spec.n)
         tr = gossip_run(topology, x0, iters, trial=k)
         drift = max(drift, tr.meta["max_mean_drift"])
         parts.append(tr)
@@ -93,20 +92,19 @@ def consensus_experiment(spec: TopologySpec, iters: int, trials: int,
         meta={"max_mean_drift": drift, "iters": iters, "trials": trials})
 
 
-def fit_decay_slope(iterations, residuals, skip: int = 2,
-                    floor: float = RESIDUAL_FLOOR) -> float:
+def fit_decay_slope(iterations, residuals) -> float:
     """Least-squares slope of log residual per iteration.
 
-    The first `skip` iterations are transients and excluded; the series is
-    truncated at the first residual below `floor` to avoid fitting the
-    floating-point floor.  Returns -inf when fewer than two usable points
-    remain (instant consensus).
+    The first TRANSIENT_ITERS iterations are transients and excluded; the
+    series is truncated at the first residual below RESIDUAL_FLOOR to avoid
+    fitting the floating-point floor.  Returns -inf when fewer than two usable
+    points remain (instant consensus).
     """
     t = np.asarray(iterations, dtype=float)
     r = np.asarray(residuals, dtype=float)
-    below = np.nonzero(r < floor)[0]
+    below = np.nonzero(r < RESIDUAL_FLOOR)[0]
     end = below[0] if below.size else len(r)
-    mask = (t[:end] >= skip)
+    mask = (t[:end] >= TRANSIENT_ITERS)
     if mask.sum() < 2:
         return float("-inf")
     return float(np.polyfit(t[:end][mask], np.log(r[:end][mask]), 1)[0])

@@ -71,12 +71,6 @@ class LeastSquaresProblem:
         r = (self.a @ x_rows[:, :, None])[:, :, 0] - self.b
         return (r[:, None, :] @ self.a)[:, 0, :] / self.k_samples
 
-    def stoch_grad(self, i: int, x: np.ndarray, rng) -> np.ndarray:
-        g = self.grad(i, x)
-        if self.sigma_n > 0.0:
-            g = g + self.sigma_n * rng.standard_normal(self.d)
-        return g
-
     def stoch_grads_all(self, x_rows: np.ndarray, rng) -> np.ndarray:
         g = self.grads_all(x_rows)
         if self.sigma_n > 0.0:
@@ -139,12 +133,6 @@ class LogisticProblem:
         coef = self.y * _expit_neg(margin)
         data = -(coef[:, None, :] @ self.h)[:, 0, :] / self.l_samples
         return data + self._reg_grad(x_rows)
-
-    def stoch_grad(self, i: int, x: np.ndarray, rng) -> np.ndarray:
-        g = self.grad(i, x)
-        if self.sigma_n > 0.0:
-            g = g + self.sigma_n * rng.standard_normal(self.d)
-        return g
 
     def stoch_grads_all(self, x_rows: np.ndarray, rng) -> np.ndarray:
         g = self.grads_all(x_rows)
@@ -272,21 +260,17 @@ def _metrics(problem, x_rows: np.ndarray) -> tuple[float, float, float]:
 
 
 def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
-        iters: int, trials: int = 1, master_seed: int = 0,
-        record_every: int = 1) -> OptTrace:
+        iters: int, trials: int = 1, master_seed: int = 0) -> OptTrace:
     """Drive dsgd/dsgt over fresh topologies, one independent trial per derived seed.
 
-    Metrics use exact gradients at the averaged model and are recorded every
-    `record_every` iterations (plus the final one).  A trial that produces
-    non-finite values is truncated at its last finite record and flagged
-    rather than aborting the sweep.
+    Metrics use exact gradients at the averaged model and are recorded at
+    every iteration.  A trial that produces non-finite values is truncated at
+    its last finite record and flagged rather than aborting the sweep.
     """
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
-    if record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {record_every}")
     step = dsgd_step if algorithm == "dsgd" else dsgt_step
     is_dynamic = spec.family in DYNAMIC_FAMILIES
     records, diverged = [], []
@@ -297,27 +281,24 @@ def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
         x0 = make_rng(tseed, "init").standard_normal(problem.d)
         state = init_state(algorithm, problem, x0, rng)
         its, gs, ls, cs = [], [], [], []
-        # overflow on a diverging trial is expected: it is detected below and
-        # the trial is truncated and flagged rather than aborted
+        # overflow on a diverging trial is expected: the record after the step
+        # finds it (a non-finite X makes the consensus residual NaN) and the
+        # trial is truncated and flagged rather than aborted
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(iters + 1):
-                if t % record_every == 0 or t == iters:
-                    grad_norm_sq, loss, consensus = _metrics(problem, state.x)
-                    if not (np.isfinite(grad_norm_sq) and np.isfinite(loss)
-                            and np.isfinite(consensus)):
-                        diverged.append(trial)
-                        break
-                    its.append(t)
-                    gs.append(grad_norm_sq)
-                    ls.append(loss)
-                    cs.append(consensus)
+                grad_norm_sq, loss, consensus = _metrics(problem, state.x)
+                if not (np.isfinite(grad_norm_sq) and np.isfinite(loss)
+                        and np.isfinite(consensus)):
+                    diverged.append(trial)
+                    break
+                its.append(t)
+                gs.append(grad_norm_sq)
+                ls.append(loss)
+                cs.append(consensus)
                 if t == iters:
                     break
                 w = topology.sample() if is_dynamic else topology
                 state = step(state, w, schedule.gamma(t), problem, rng)
-                if not np.isfinite(state.x).all():
-                    diverged.append(trial)
-                    break
         records.append({"iter": np.array(its), "grad_norm_sq": np.array(gs),
                         "loss": np.array(ls), "consensus_residual": np.array(cs)})
     return OptTrace(algo=algorithm, family=spec.family, n=spec.n, records=records,

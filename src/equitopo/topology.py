@@ -103,18 +103,8 @@ class GossipMatrix:
         if isinstance(self.structure, Circulant):   # not a draw's arrays: no per-draw work
             self.structure.column.flags.writeable = False
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.mat.sum(axis=1)).ravel()
-
-    def col_sums(self) -> np.ndarray:
-        return np.asarray(self.mat.sum(axis=0)).ravel()
 
     def __matmul__(self, x):
         return self.mat @ x
@@ -177,6 +167,10 @@ def default_basis_count(n: int, rho: float, p: float) -> int:
     return math.ceil(8.0 / (3.0 * rho**2) * math.log(2.0 * n / p))
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _check_basis_value(u: int, n: int) -> None:
     if not 1 <= u <= n - 1:
         raise ParameterError(f"shift {u} outside [1, {n - 1}]")
@@ -232,7 +226,7 @@ def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
     n = c.size
     shifts = np.flatnonzero(c)
     k = shifts.size
-    need, have = 16 * n * k, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    need, have = 16 * n * k, _physical_memory()
     if need > have:
         raise ParameterError(f"an n = {n} {family} matrix stores {n * k} entries, "
                              f"{need} bytes of CSR, more than the {have} bytes of physical memory")
@@ -245,7 +239,7 @@ def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
     return GossipMatrix(n, mat, family, basis_index, Circulant(c))
 
 
-def build_d_equistatic(spec: TopologySpec, rng=None) -> tuple[GossipMatrix, BasisIndex]:
+def build_d_equistatic(spec: TopologySpec) -> tuple[GossipMatrix, BasisIndex]:
     """Sample shifts i.i.d. from [1, n-1] and average until the factor target holds.
 
     The candidate is accepted once its measured consensus factor is <= spec.rho;
@@ -254,8 +248,7 @@ def build_d_equistatic(spec: TopologySpec, rng=None) -> tuple[GossipMatrix, Basi
     """
     from .spectral import consensus_factor
 
-    if rng is None:
-        rng = make_rng(spec.seed, "d-equistatic")
+    rng = make_rng(spec.seed, "d-equistatic")
     n = spec.n
     m = spec.m if spec.m is not None else default_basis_count(n, spec.rho, spec.p)
     best_w, best_value = None, np.inf
@@ -367,19 +360,19 @@ class DynSampler:
 
     Single-owner: concurrent experiments should hold independent samplers with
     distinct seeds.  Given identical (spec, seed) the emitted sequence is
-    identical across runs.  Each draw is a partner array turned into CSR by
-    `_one_peer`.
+    identical across runs.  A subclass's `sample` makes each draw, a partner
+    array turned into CSR by `_one_peer`.
     """
 
     families: tuple[str, ...] = ()
 
-    def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None, rng=None):
+    def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None):
         if spec.family not in self.families:
             raise ParameterError(
                 f"{type(self).__name__} draws {self.families}, not {spec.family!r}")
         self.spec = spec
         self.basis_index = basis_index
-        self.rng = rng if rng is not None else make_rng(spec.seed, spec.family, "sampler")
+        self.rng = make_rng(spec.seed, spec.family, "sampler")
         self.t = 0
 
     @property
@@ -395,9 +388,6 @@ class DynSampler:
             raise ParameterError("sampler holds an empty basis index")
         values = self.basis_index.values
         return values[int(self.rng.integers(0, len(values)))]
-
-    def sample(self) -> GossipMatrix:
-        raise NotImplementedError
 
 
 class OdEquiDynSampler(DynSampler):
@@ -431,8 +421,8 @@ class OnePeerExpSampler(DynSampler):
 
     families = ("one-peer-exp",)
 
-    def __init__(self, spec, rng=None):
-        super().__init__(spec, None, rng)
+    def __init__(self, spec):
+        super().__init__(spec)
         self.hops = tuple(2**k for k in range(int(math.log2(spec.n - 1)) + 1))
 
     def sample(self) -> GossipMatrix:
@@ -548,6 +538,9 @@ def matrix_csv_text(w: GossipMatrix) -> str:
     so that -0.0 and 0.0 keep their own text.  A table is NUL-padded to its
     widest item.  Each block of CSV_BLOCK entries gathers its three items per
     line into one record array, whose bytes less the NULs are the block's lines.
+    The block strings and their join each hold about one padded line per entry,
+    so an export whose CSR plus twice that would not fit in physical memory is
+    refused before any line is formatted.
     """
     mat = w.mat if w.mat.has_sorted_indices else w.mat.sorted_indices()
     bits = mat.data.astype(np.float64, copy=False).view(np.int64)
@@ -556,6 +549,13 @@ def matrix_csv_text(w: GossipMatrix) -> str:
                      dtype=bytes)
     cols = np.arange(w.n).astype(f"S{len(str(w.n - 1))}")
     rows = np.char.add(cols, b",")
+    csr = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    need = csr + 2 * mat.nnz * (rows.itemsize + cols.itemsize + cells.itemsize)
+    have = _physical_memory()
+    if need > have:
+        raise ParameterError(f"exporting an n = {w.n} {w.family} matrix needs {need} bytes "
+                             f"({csr} of CSR and twice its {mat.nnz} padded lines), more than "
+                             f"the {have} bytes of physical memory")
     block = np.empty(min(mat.nnz, CSV_BLOCK), [("row", rows.dtype), ("col", cols.dtype),
                                                ("weight", cells.dtype)])
     indptr = mat.indptr

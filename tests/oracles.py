@@ -5,7 +5,8 @@ against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
 dense SVD of the mean-centred matrix, a long-double DFT or a long-double
 closed form, carried circulant columns against the CSR they were built into, one-peer
-draws against dense matrices built node by node, circulant matrices against
+draws against dense matrices built node by node, sparsity against off-diagonal
+degrees counted on the dense matrix, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
 CSV export against a per-entry formatting loop, and the problem kernels
 against their einsum/logaddexp/expit forms.
@@ -53,6 +54,13 @@ def matched_node_count(dense_a):
     a = np.asarray(dense_a)
     off = a - np.diag(np.diag(a))
     return int((np.count_nonzero(off, axis=1) > 0).sum())
+
+
+def max_off_diagonal_degree(w):
+    """Most non-zero off-diagonal entries in any row or column of a GossipMatrix."""
+    off = w.toarray() != 0.0
+    np.fill_diagonal(off, False)
+    return int(max(off.sum(axis=0).max(), off.sum(axis=1).max()))
 
 
 def euclid_matching(v, s, n):

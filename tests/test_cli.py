@@ -7,6 +7,7 @@ import pytest
 import equitopo.cli
 from equitopo.cli import UsageError, atomic_write_text, main, parse_config
 from equitopo.output import WRITE_SLICE
+from equitopo.topology import TopologySpec, build_topology, matrix_csv_text
 
 
 def run_cli(argv, capsys=None):
@@ -445,6 +446,22 @@ def test_matrix_beyond_physical_memory_refused_before_allocating(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_export_beyond_physical_memory_refused_before_formatting(tmp_path, capsys,
+                                                                  monkeypatch):
+    """Memory that holds the CSR and one copy of the text, not the CSR and two: exit 2."""
+    w = build_topology(TopologySpec("d-equistatic", 2000))
+    csr = w.mat.data.nbytes + w.mat.indices.nbytes + w.mat.indptr.nbytes
+    text = len(matrix_csv_text(w))
+    page = os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": page,
+                                        "SC_PHYS_PAGES": (csr + text) // page}.__getitem__)
+    out = tmp_path / "w.csv"
+    assert run_cli(["topo-build", "--family", "d-equistatic", "--n", 2000, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{csr} of CSR" in err and "physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", ["", "a" * WRITE_SLICE, "a" * (WRITE_SLICE + 1),
                                   "a" * (WRITE_SLICE - 2) + "\u00e9\u20ac\U0001f600" * 3],
                          ids=["empty", "one-slice", "past-one-slice", "multi-byte-across"])
@@ -452,3 +469,30 @@ def test_atomic_write_text_writes_what_write_text_writes(text, tmp_path):
     atomic_write_text(tmp_path / "sliced", text)
     (tmp_path / "whole").write_text(text)
     assert (tmp_path / "sliced").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+def test_atomic_write_text_failure_keeps_target(tmp_path):
+    """A text that cannot be encoded past the first slice leaves no temp file and the old target."""
+    target = tmp_path / "w.csv"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "a" * WRITE_SLICE + "\ud800")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("argv, file_text, message", [
+    (["topo-build", "--config", "{missing}", "--out", "{out}"], None,
+     "cannot read config file"),
+    (["topo-build", "--config", "{config}", "--out", "{out}"],
+     "family = ring\nn = 9\nseed 3\n", "expected `key = value`"),
+    ([], None, "missing command"),
+], ids=["unreadable-config", "config-line-without-equals", "no-command"])
+def test_usage_errors_exit_2(argv, file_text, message, tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    if file_text is not None:
+        config.write_text(file_text)
+    paths = {"missing": tmp_path / "missing.cfg", "config": config, "out": tmp_path / "w.csv"}
+    assert run_cli([a.format(**paths) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not paths["out"].exists()

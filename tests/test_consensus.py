@@ -61,6 +61,11 @@ def test_gossip_rejects_bad_inputs():
         eq.gossip_run(w, np.ones(8), 0)
 
 
+def test_consensus_experiment_requires_a_trial():
+    with pytest.raises(eq.ParameterError, match="trials"):
+        eq.consensus_experiment(eq.TopologySpec("ring", 8), 5, 0)
+
+
 @pytest.mark.parametrize("family", ["od-equidyn", "ou-equidyn"])
 def test_sampler_residuals_contract_in_the_mean(family):
     # trial-averaged residuals must be non-increasing beyond sampling noise

@@ -67,9 +67,9 @@ def test_normal_equations_optimum_is_stationary():
 
 def test_stochastic_gradient_noise_is_zero_mean(ls_problem):
     rng = np.random.default_rng(6)
-    x = np.zeros(ls_problem.d)
-    draws = np.array([ls_problem.stoch_grad(2, x, rng) for _ in range(10000)])
-    exact = ls_problem.grad(2, x)
+    x_rows = np.zeros((ls_problem.n, ls_problem.d))
+    draws = np.array([ls_problem.stoch_grads_all(x_rows, rng)[2] for _ in range(10000)])
+    exact = ls_problem.grad(2, x_rows[2])
     stderr = draws.std(axis=0, ddof=1) / np.sqrt(10000)
     assert (np.abs(draws.mean(axis=0) - exact) <= 4 * stderr).all()
 
@@ -318,6 +318,20 @@ def test_run_rejects_unknown_algorithm(ls_problem):
         eq.run("adam", ls_problem, eq.TopologySpec("ring", 8), eq.StepSchedule(0.1), 5)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda p: eq.run("dsgd", p, eq.TopologySpec("ring", 8), eq.StepSchedule(0.1), 0),
+     "iters"),
+    (lambda p: eq.dsgd_step(eq.init_state("dsgd", p, np.zeros(5), None),
+                            eq.build_topology(eq.TopologySpec("ring", 8)), -0.1, p,
+                            np.random.default_rng(0)), "gamma"),
+    (lambda p: eq.make_logistic_ncvx(8, 5, 0, 0.001, 0.2, 0.1, np.random.default_rng(1)),
+     "l_samples"),
+], ids=["run-zero-iters", "dsgd-negative-gamma", "logistic-zero-samples"])
+def test_parameter_errors(call, match, ls_problem):
+    with pytest.raises(eq.ParameterError, match=match):
+        call(ls_problem)
+
+
 def test_trace_csv_schema():
     p = eq.make_least_squares(6, 3, 8, 0.1, 0.5, np.random.default_rng(30))
     trace = eq.run("dsgd", p, eq.TopologySpec("ring", 6, seed=0), eq.StepSchedule(0.05),
@@ -326,13 +340,6 @@ def test_trace_csv_schema():
     assert lines[0] == "algo,family,n,trial,iter,grad_norm_sq,loss,consensus_residual"
     assert len(lines) == 1 + 2 * 5
     assert lines[1].startswith("dsgd,ring,6,0,0,")
-
-
-def test_run_record_thinning():
-    p = eq.make_least_squares(6, 3, 8, 0.1, 0.5, np.random.default_rng(31))
-    trace = eq.run("dsgd", p, eq.TopologySpec("ring", 6, seed=0), eq.StepSchedule(0.05),
-                   iters=10, trials=1, master_seed=2, record_every=4)
-    assert trace.records[0]["iter"].tolist() == [0, 4, 8, 10]
 
 
 def test_schedule_staircase():
