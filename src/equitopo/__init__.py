@@ -11,7 +11,7 @@ from .spectral import ConsensusEstimate, consensus_factor, empirical_contraction
 from .topology import (BasisIndex, DynSampler, GossipMatrix, OdEquiDynSampler,
                        OnePeerExpSampler, OuEquiDynSampler, TopologySpec, basis_matrix,
                        build_d_equistatic, build_topology, build_u_equistatic,
-                       complete_basis, default_basis_count, matrix_csv_text, mod_n,
+                       complete_basis, default_basis_count, matrix_csv_text,
                        ou_equidyn_euclid, ou_equidyn_node_view, ou_scan_matrix)
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "build_topology", "build_u_equistatic", "complete_basis", "consensus_experiment",
     "consensus_factor", "default_basis_count", "derive_seed", "dsgd_step", "dsgt_step",
     "empirical_contraction", "fit_decay_slope", "gossip_run", "init_state",
-    "make_least_squares", "make_logistic_ncvx", "make_rng", "matrix_csv_text", "mod_n",
+    "make_least_squares", "make_logistic_ncvx", "make_rng", "matrix_csv_text",
     "ou_equidyn_euclid", "ou_equidyn_node_view", "ou_scan_matrix", "run",
     "size_independence_experiment",
 ]

@@ -230,9 +230,7 @@ def _write(config, path, csv, extra_meta=None):
 
 
 def _cmd_topo_build(config: ExperimentConfig) -> int:
-    topo = build_topology(_spec_from(config))
-    # dynamic families export their first realization
-    w = topo.sample() if isinstance(topo, DynSampler) else topo
+    w = build_topology(_spec_from(config)).sample()   # a dynamic family's first draw
     est = consensus_factor(w)
     path = _out_path(config)
     meta = {"rho_target": config.rho, "rho_measured": est.value, "method": est.method,
@@ -268,7 +266,7 @@ def _cmd_consensus(config: ExperimentConfig) -> int:
     trace = consensus_experiment(_spec_from(config), config.iters, config.trials)
     path = _out_path(config)
     _write(config, path, trace.csv_text())
-    final = trace.residual[trace.iteration == config.iters]
+    final = trace.residual[:, -1]
     print(f"{config.family} n={config.n} mean final residual {float(final.mean())!r} -> {path}")
     return 0
 
@@ -310,7 +308,7 @@ def _cmd_optim(config: ExperimentConfig) -> int:
            {"diverged_trials": trace.diverged_trials or None})
     last = trace.records[0]
     final = (f"final grad_norm_sq={float(last['grad_norm_sq'][-1])!r} final loss="
-             f"{float(last['loss'][-1])!r}" if last["iter"].size else "no finite record")
+             f"{float(last['loss'][-1])!r}" if last["loss"].size else "no finite record")
     status = "diverged" if trace.diverged else "ok"
     print(f"{config.command} {config.problem} {config.family} n={config.n} {final} "
           f"[{status}] -> {path}")

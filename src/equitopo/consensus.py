@@ -20,36 +20,27 @@ TRANSIENT_ITERS = 2
 
 @dataclass
 class ConsensusTrace:
-    """Per-iteration residual records for one or more trials of one topology."""
+    """Residuals of one or more trials of one topology: residual[k, t] is trial k at iteration t."""
 
     family: str
     n: int
-    trial: np.ndarray
-    iteration: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray   # (trials, iters + 1)
     meta: dict = field(default_factory=dict)
-
-    def trial_residuals(self, k: int) -> np.ndarray:
-        mask = self.trial == k
-        order = np.argsort(self.iteration[mask])
-        return self.residual[mask][order]
 
     def csv_text(self) -> str:
         lines = ["family,n,trial,iter,residual"]
-        for k, t, r in zip(self.trial, self.iteration, self.residual):
-            lines.append(f"{self.family},{self.n},{k},{t},{float(r)!r}")
+        for k, row in enumerate(self.residual.tolist()):
+            lines.extend(f"{self.family},{self.n},{k},{t},{r!r}" for t, r in enumerate(row))
         return "\n".join(lines) + "\n"
 
 
-def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int,
-               trial: int = 0) -> ConsensusTrace:
-    """Iterate x <- W^(t) x and record ||x - mean(x0) * 1|| at every step."""
+def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int) -> ConsensusTrace:
+    """Iterate x <- W^(t) x and record ||x - mean(x0) * 1|| at every step: a one-row trace."""
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ParameterError("x0 must be finite")
-    is_sampler = isinstance(topology, DynSampler)
     n = topology.n
     if x.shape != (n,):
         raise ParameterError(f"x0 must have shape ({n},), got {x.shape}")
@@ -58,38 +49,29 @@ def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int,
     residuals[0] = np.linalg.norm(x - mean0)
     max_drift = 0.0
     for t in range(1, iters + 1):
-        w = topology.sample() if is_sampler else topology
-        x = w @ x
+        x = topology.sample().mat @ x
         if not np.isfinite(x).all():
             raise NonFiniteError(f"non-finite state at iteration {t}")
         max_drift = max(max_drift, abs(x.mean() - mean0) / (1.0 + abs(mean0)))
         residuals[t] = np.linalg.norm(x - mean0)
-    iterations = np.arange(iters + 1)
-    return ConsensusTrace(
-        family=getattr(topology, "family", "custom"), n=n,
-        trial=np.full(iters + 1, trial), iteration=iterations, residual=residuals,
-        meta={"max_mean_drift": max_drift})
+    return ConsensusTrace(family=topology.family, n=n, residual=residuals[None, :],
+                          meta={"max_mean_drift": max_drift})
 
 
 def consensus_experiment(spec: TopologySpec, iters: int, trials: int) -> ConsensusTrace:
     """Independent repetitions from `spec.seed`: fresh topology and fresh x0 per trial."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    parts = []
+    residual = np.empty((trials, iters + 1))
     drift = 0.0
     for k in range(trials):
-        sub = replace(spec, seed=derive_seed(spec.seed, "trial", k))
-        topology = build_topology(sub)
+        topology = build_topology(replace(spec, seed=derive_seed(spec.seed, "trial", k)))
         x0 = make_rng(spec.seed, "x0", k).standard_normal(spec.n)
-        tr = gossip_run(topology, x0, iters, trial=k)
+        tr = gossip_run(topology, x0, iters)
+        residual[k] = tr.residual[0]
         drift = max(drift, tr.meta["max_mean_drift"])
-        parts.append(tr)
-    return ConsensusTrace(
-        family=spec.family, n=spec.n,
-        trial=np.concatenate([p.trial for p in parts]),
-        iteration=np.concatenate([p.iteration for p in parts]),
-        residual=np.concatenate([p.residual for p in parts]),
-        meta={"max_mean_drift": drift, "iters": iters, "trials": trials})
+    return ConsensusTrace(family=spec.family, n=spec.n, residual=residual,
+                          meta={"max_mean_drift": drift})
 
 
 def fit_decay_slope(iterations, residuals) -> float:
@@ -153,9 +135,7 @@ def size_independence_experiment(family: str, sizes, iters: int, trials: int,
         spec = TopologySpec(family=family, n=n, rho=rho, p=p, m=m, eta=eta,
                             seed=derive_seed(master_seed, "size", n))
         trace = consensus_experiment(spec, iters, trials)
-        logs = [np.log(np.clip(trace.trial_residuals(k), 1e-300, None))
-                for k in range(trials)]
-        geo_mean = np.exp(np.mean(logs, axis=0))
+        geo_mean = np.exp(np.mean(np.log(np.clip(trace.residual, 1e-300, None)), axis=0))
         slope = fit_decay_slope(np.arange(iters + 1), geo_mean)
         entries.append(SizeSweepEntry(n=n, slope=slope, trace=trace))
     return SizeSweep(family=family, entries=entries)

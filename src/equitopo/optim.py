@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .seeds import derive_seed, make_rng
-from .topology import DYNAMIC_FAMILIES, GossipMatrix, TopologySpec, build_topology
+from .topology import GossipMatrix, TopologySpec, build_topology
 
 ALGORITHMS = ("dsgd", "dsgt")
 
@@ -170,12 +170,11 @@ def make_logistic_ncvx(n: int, d: int, l_samples: int, reg: float, sigma_h: floa
 
 @dataclass
 class OptState:
-    """Stacked local models (and tracking variables for DSGT) at iteration t."""
+    """Stacked local models (and tracking variables for DSGT)."""
 
     x: np.ndarray
     y: np.ndarray | None = None
     g_prev: np.ndarray | None = None
-    t: int = 0
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def dsgd_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> O
     if gamma < 0.0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     g = problem.stoch_grads_all(state.x, rng)
-    return OptState(x=w.mat @ (state.x - gamma * g), t=state.t + 1)
+    return OptState(x=w.mat @ (state.x - gamma * g))
 
 
 def dsgt_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> OptState:
@@ -216,7 +215,7 @@ def dsgt_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> O
     x_new = w.mat @ (state.x - gamma * state.y)
     g_new = problem.stoch_grads_all(x_new, rng)
     y_new = w.mat @ state.y + g_new - state.g_prev
-    return OptState(x=x_new, y=y_new, g_prev=g_new, t=state.t + 1)
+    return OptState(x=x_new, y=y_new, g_prev=g_new)
 
 
 def init_state(algorithm: str, problem, x0: np.ndarray, rng) -> OptState:
@@ -229,7 +228,7 @@ def init_state(algorithm: str, problem, x0: np.ndarray, rng) -> OptState:
 
 @dataclass
 class OptTrace:
-    """Per-trial, per-iteration optimization metrics."""
+    """Per-trial optimization metrics: entry t of each record array is iteration t."""
 
     algo: str
     family: str
@@ -244,8 +243,8 @@ class OptTrace:
     def csv_text(self) -> str:
         lines = ["algo,family,n,trial,iter,grad_norm_sq,loss,consensus_residual"]
         for trial, rec in enumerate(self.records):
-            for t, g, lo, c in zip(rec["iter"], rec["grad_norm_sq"], rec["loss"],
-                                   rec["consensus_residual"]):
+            for t, (g, lo, c) in enumerate(zip(rec["grad_norm_sq"], rec["loss"],
+                                               rec["consensus_residual"])):
                 lines.append(f"{self.algo},{self.family},{self.n},{trial},{t},{float(g)!r},{float(lo)!r},{float(c)!r}")
         return "\n".join(lines) + "\n"
 
@@ -272,7 +271,6 @@ def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     step = dsgd_step if algorithm == "dsgd" else dsgt_step
-    is_dynamic = spec.family in DYNAMIC_FAMILIES
     records, diverged = [], []
     for trial in range(trials):
         tseed = derive_seed(master_seed, "trial", trial)
@@ -280,7 +278,7 @@ def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
         rng = make_rng(tseed, "noise")
         x0 = make_rng(tseed, "init").standard_normal(problem.d)
         state = init_state(algorithm, problem, x0, rng)
-        its, gs, ls, cs = [], [], [], []
+        gs, ls, cs = [], [], []
         # overflow on a diverging trial is expected: the record after the step
         # finds it (a non-finite X makes the consensus residual NaN) and the
         # trial is truncated and flagged rather than aborted
@@ -291,15 +289,13 @@ def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
                         and np.isfinite(consensus)):
                     diverged.append(trial)
                     break
-                its.append(t)
                 gs.append(grad_norm_sq)
                 ls.append(loss)
                 cs.append(consensus)
                 if t == iters:
                     break
-                w = topology.sample() if is_dynamic else topology
-                state = step(state, w, schedule.gamma(t), problem, rng)
-        records.append({"iter": np.array(its), "grad_norm_sq": np.array(gs),
-                        "loss": np.array(ls), "consensus_residual": np.array(cs)})
+                state = step(state, topology.sample(), schedule.gamma(t), problem, rng)
+        records.append({"grad_norm_sq": np.array(gs), "loss": np.array(ls),
+                        "consensus_residual": np.array(cs)})
     return OptTrace(algo=algorithm, family=spec.family, n=spec.n, records=records,
                     diverged_trials=tuple(diverged))

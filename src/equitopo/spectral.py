@@ -91,25 +91,23 @@ def empirical_contraction(topology: GossipMatrix | DynSampler, trials: int,
                           rng=None, seed: int = 0) -> ConsensusEstimate:
     """Mean squared one-step contraction over random mean-zero unit vectors.
 
-    Dynamic samplers contribute a fresh matrix per trial; a plain matrix is
-    treated as a degenerate (constant) sampler.
+    Each trial draws `topology.sample()`: a fresh matrix from a dynamic
+    sampler, the matrix itself from a static one.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
     if rng is None:
         rng = make_rng(seed, "contraction")
-    is_sampler = isinstance(topology, DynSampler)
     n = topology.n
     ratios = np.empty(trials)
     for k in range(trials):
-        w = topology.sample() if is_sampler else topology
         x = _center(rng.standard_normal(n))
         norm_x = np.linalg.norm(x)
         while norm_x < 1e-12:
             x = _center(rng.standard_normal(n))
             norm_x = np.linalg.norm(x)
         x /= norm_x
-        y = _center(w @ x)
+        y = _center(topology.sample().mat @ x)
         ratios[k] = y @ y
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / np.sqrt(trials))

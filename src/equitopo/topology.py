@@ -15,9 +15,11 @@ straight into CSR by one builder, which leaves it on the matrix as the
 * uniform-weight undirected edge arrays (`_uniform_undirected`): grid (a
   `Grid`), torus and hypercube (a `Circulant` over Z_m^2 or Z_2^d).
 
-Node labels are 1-based at the interface (see `mod_n`); matrix storage is
-0-based CSR.  Constructed matrices are immutable and safe to share across
-workers; samplers are single-owner mutable state.
+Node labels and matrix storage (CSR) are 0-based; only the start s of an
+"ou" matching counts from 1.  A matrix is the sampler that always draws itself
+(`GossipMatrix.sample`), so a step loop draws `topology.sample()` whether the
+topology is static or dynamic.  Constructed matrices are immutable and safe
+to share across workers; samplers are single-owner mutable state.
 """
 
 from __future__ import annotations
@@ -44,14 +46,7 @@ FAMILIES = STATIC_FAMILIES + DYNAMIC_FAMILIES
 
 RESAMPLE_CAP = 50
 CSV_BLOCK = 1 << 16   # entries per numpy pass of `matrix_csv_text`
-
-
-def mod_n(i: int, n: int) -> int:
-    """Wrap an integer into [1, n]: k*n + l -> l for l in [1, n-1], and k*n -> n."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    r = i % n
-    return n if r == 0 else r
+CELL_BYTES = 26       # widest cell ",repr(x)\n": repr(-2.2250738585072014e-308) has 24 characters
 
 
 class Circulant(NamedTuple):
@@ -106,8 +101,9 @@ class GossipMatrix:
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
 
-    def __matmul__(self, x):
-        return self.mat @ x
+    def sample(self) -> GossipMatrix:
+        """The draw of a static topology: the matrix itself, at every step."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,7 @@ def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
 
 
 def basis_matrix(u: int, n: int) -> GossipMatrix:
-    """One-peer shift matrix: node j sends to mod_n(j + u) with weight (n-1)/n, keeps 1/n."""
+    """One-peer shift matrix: node j sends to (j + u) % n with weight (n-1)/n, keeps 1/n."""
     _check_basis_value(u, n)
     return _one_peer((np.arange(n) - u) % n, 1.0 - 1.0 / n, 1.0 / n, "basis", (u,))
 
@@ -319,7 +315,7 @@ def _euclid_partners(v: int, s: int, n: int) -> np.ndarray:
 
 
 def ou_scan_matrix(v: int, s: int, n: int) -> GossipMatrix:
-    """Greedy one-peer matching: scan j = s..s+n-1 (wrapped), pairing j with mod_n(j + v).
+    """Greedy one-peer matching: scan j = s-1, ..., s+n-2 (mod n), pairing j with (j + v) % n.
 
     A pair is formed only when both endpoints are still free; matched pairs get
     symmetric weight (n-1)/n with 1/n kept on their diagonals, idle nodes keep 1.
@@ -539,23 +535,24 @@ def matrix_csv_text(w: GossipMatrix) -> str:
     widest item.  Each block of CSV_BLOCK entries gathers its three items per
     line into one record array, whose bytes less the NULs are the block's lines.
     The block strings and their join each hold about one padded line per entry,
-    so an export whose CSR plus twice that would not fit in physical memory is
-    refused before any line is formatted.
+    so an export whose CSR plus twice that, each cell counted at its widest
+    CELL_BYTES, would not fit in physical memory is refused before the distinct
+    weights are sorted or any line is formatted.
     """
+    cols = np.arange(w.n).astype(f"S{len(str(w.n - 1))}")
+    rows = np.char.add(cols, b",")
+    csr = w.mat.data.nbytes + w.mat.indices.nbytes + w.mat.indptr.nbytes
+    need = csr + 2 * w.mat.nnz * (rows.itemsize + cols.itemsize + CELL_BYTES)
+    have = _physical_memory()
+    if need > have:
+        raise ParameterError(f"exporting an n = {w.n} {w.family} matrix needs {need} bytes "
+                             f"({csr} of CSR and twice its {w.mat.nnz} padded lines), more "
+                             f"than the {have} bytes of physical memory")
     mat = w.mat if w.mat.has_sorted_indices else w.mat.sorted_indices()
     bits = mat.data.astype(np.float64, copy=False).view(np.int64)
     distinct = np.unique(bits)
     cells = np.array([("," + repr(x) + "\n").encode() for x in distinct.view(np.float64).tolist()],
                      dtype=bytes)
-    cols = np.arange(w.n).astype(f"S{len(str(w.n - 1))}")
-    rows = np.char.add(cols, b",")
-    csr = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    need = csr + 2 * mat.nnz * (rows.itemsize + cols.itemsize + cells.itemsize)
-    have = _physical_memory()
-    if need > have:
-        raise ParameterError(f"exporting an n = {w.n} {w.family} matrix needs {need} bytes "
-                             f"({csr} of CSR and twice its {mat.nnz} padded lines), more than "
-                             f"the {have} bytes of physical memory")
     block = np.empty(min(mat.nnz, CSV_BLOCK), [("row", rows.dtype), ("col", cols.dtype),
                                                ("weight", cells.dtype)])
     indptr = mat.indptr

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ def test_uniform_matrix_reaches_consensus_in_one_step():
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal(40)
     w = eq.build_topology(eq.TopologySpec("complete", 40))
-    trace = eq.gossip_run(w, x0, 5)
-    assert trace.residual[0] == pytest.approx(np.linalg.norm(x0 - x0.mean()))
-    assert (trace.residual[1:] <= 1e-12 * np.linalg.norm(x0)).all()
+    (residual,) = eq.gossip_run(w, x0, 5).residual
+    assert residual[0] == pytest.approx(np.linalg.norm(x0 - x0.mean()))
+    assert (residual[1:] <= 1e-12 * np.linalg.norm(x0)).all()
 
 
 def test_static_matrix_contracts_at_its_factor():
@@ -18,9 +20,9 @@ def test_static_matrix_contracts_at_its_factor():
     x0 = rng.standard_normal(50)
     w, _ = eq.build_d_equistatic(eq.TopologySpec("d-equistatic", 50, rho=0.5, seed=3))
     factor = eq.consensus_factor(w).value
-    trace = eq.gossip_run(w, x0, 25)
+    (residual,) = eq.gossip_run(w, x0, 25).residual
     for t in range(26):
-        assert trace.residual[t] <= factor**t * trace.residual[0] + 1e-8
+        assert residual[t] <= factor**t * residual[0] + 1e-8
 
 
 def test_consensus_is_fixed_point():
@@ -87,7 +89,6 @@ def test_experiment_reproducible_bitwise():
     t1 = eq.consensus_experiment(spec, 12, 3)
     t2 = eq.consensus_experiment(spec, 12, 3)
     assert np.array_equal(t1.residual, t2.residual)
-    assert np.array_equal(t1.trial, t2.trial)
 
 
 def test_trace_csv_schema():
@@ -129,3 +130,36 @@ def test_size_independence_smoke():
 def test_size_independence_needs_two_sizes():
     with pytest.raises(eq.ParameterError):
         eq.size_independence_experiment("ring", [9], iters=5, trials=1)
+
+
+def trial_spec(family, n, seed):
+    return eq.TopologySpec(family, n, rho=0.75, m=n - 1 if family == "ou-equidyn" else None,
+                           seed=seed)
+
+
+@pytest.mark.parametrize("family", ["ring", "torus", "ou-equidyn"])
+def test_consensus_csv_is_one_gossip_run_per_trial(family):
+    """Trial k: topology seed derive_seed(seed, "trial", k), x0 from make_rng(seed, "x0", k)."""
+    n, iters, trials = 16, 7, 3
+    spec = trial_spec(family, n, seed=11)
+    lines = ["family,n,trial,iter,residual"]
+    for k in range(trials):
+        topo = eq.build_topology(replace(spec, seed=eq.derive_seed(spec.seed, "trial", k)))
+        x0 = eq.make_rng(spec.seed, "x0", k).standard_normal(n)
+        (residual,) = eq.gossip_run(topo, x0, iters).residual
+        lines += [f"{family},{n},{k},{t},{float(r)!r}" for t, r in enumerate(residual)]
+    assert eq.consensus_experiment(spec, iters, trials).csv_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family", ["ring", "torus", "ou-equidyn"])
+def test_size_sweep_slope_fits_the_geometric_mean_of_the_trials(family):
+    sizes, iters, trials, seed = (9, 16), 12, 3, 4
+    m_for = (lambda n: n - 1) if family == "ou-equidyn" else None
+    sweep = eq.size_independence_experiment(family, sizes, iters, trials, master_seed=seed,
+                                            m_for=m_for)
+    for n, entry in zip(sizes, sweep.entries):
+        trace = eq.consensus_experiment(
+            trial_spec(family, n, eq.derive_seed(seed, "size", n)), iters, trials)
+        assert np.array_equal(entry.trace.residual, trace.residual)
+        log_sum = sum(np.log(np.clip(row, 1e-300, None)) for row in trace.residual)
+        assert entry.slope == eq.fit_decay_slope(np.arange(iters + 1), np.exp(log_sum / trials))

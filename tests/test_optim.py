@@ -309,7 +309,7 @@ def test_run_truncates_and_flags_divergence():
     assert trace.diverged
     assert trace.diverged_trials == (0,)
     rec = trace.records[0]
-    assert len(rec["iter"]) < 301
+    assert len(rec["grad_norm_sq"]) < 301
     assert np.isfinite(rec["grad_norm_sq"]).all()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import equitopo as eq
 from scipy import sparse
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, CSV_BLOCK, _circulant, _lattice_edges,
-                               _uniform_undirected)
+                               STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant,
+                               _lattice_edges, _uniform_undirected)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_edge_set, lattice_edge_set, matched_node_count, matrix_csv_loop,
@@ -37,20 +38,6 @@ def is_symmetric(w):
 def family_n(family):
     # one n valid for every family constraint
     return {"grid": 16, "torus": 16, "hypercube": 16}.get(family, 12)
-
-
-# ---------------------------------------------------------------- mod_n
-
-def test_mod_n_values():
-    assert eq.mod_n(7, 6) == 1
-    assert eq.mod_n(12, 6) == 6   # multiples of n map to n
-    assert eq.mod_n(-1, 6) == 5   # -1 = (-1)*6 + 5
-    assert [eq.mod_n(i, 4) for i in range(1, 9)] == [1, 2, 3, 4, 1, 2, 3, 4]
-
-
-def test_mod_n_rejects_bad_n():
-    with pytest.raises(eq.ParameterError):
-        eq.mod_n(3, 0)
 
 
 # ---------------------------------------------------------------- basis matrices
@@ -624,6 +611,56 @@ def test_matrix_csv_matches_loop_export_on_random_sparse(case):
     assert mat.nnz == len(entries)
     w = eq.GossipMatrix(n, mat, "custom")
     assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+
+
+def diagonal_matrix(weights):
+    n = len(weights)
+    mat = sparse.csr_array((np.array(weights, dtype=float), np.arange(n), np.arange(n + 1)),
+                           shape=(n, n))
+    return eq.GossipMatrix(n, mat, "custom")
+
+
+def export_cell_widths(w):
+    """Bytes of each cell of the export of `w`: a comma, the weight and the newline."""
+    lines = eq.matrix_csv_text(w).splitlines(keepends=True)[1:]
+    return [len(("," + line.split(",", 2)[2]).encode()) for line in lines]
+
+
+def test_widest_export_cell_is_cell_bytes():
+    widths = export_cell_widths(diagonal_matrix(
+        [-2.2250738585072014e-308, -1.7976931348623157e308, 1.7976931348623157e308, -5e-324,
+         5e-324, -2.225073858507201e-308, -0.0, 0.0, np.inf, -np.inf, np.nan, -1 / 3]))
+    assert max(widths) == CELL_BYTES == widths[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                                           -1.7976931348623157e308]),
+                          st.floats(width=64)), min_size=1, max_size=20))
+def test_no_export_cell_exceeds_cell_bytes(weights):
+    assert max(export_cell_widths(diagonal_matrix(weights))) <= CELL_BYTES
+
+
+def test_refused_export_allocates_little(monkeypatch):
+    """complete n = 2000 stores 4e6 entries, 64 MB of CSR: the refusal comes before a
+    32 MB sorted copy of their bits."""
+    w = eq.build_topology(eq.TopologySpec("complete", 2000))
+    csr = w.mat.data.nbytes + w.mat.indices.nbytes + w.mat.indptr.nbytes
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: csr)
+    tracemalloc.start()
+    try:
+        with pytest.raises(eq.ParameterError, match=f"{csr} of CSR"):
+            eq.matrix_csv_text(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_static_matrix_draws_itself():
+    for family in STATIC_FAMILIES:
+        w = eq.build_topology(spec_for(family, family_n(family), seed=3))
+        assert w.sample() is w
 
 
 def test_matrix_is_immutable():
