@@ -1,7 +1,7 @@
 """Construction of doubly-stochastic gossip matrices.
 
-Every family is built from one of three representations, each written
-straight into CSR by one builder, which leaves it on the matrix as the
+Every family is built from one of three representations, each turned
+into CSR by one builder, which leaves it on the matrix as the
 `structure` that `spectral.consensus_factor` reads:
 
 * a circulant column c, W[i, j] = c[(i - j) % n], one weight per shift
@@ -12,8 +12,9 @@ straight into CSR by one builder, which leaves it on the matrix as the
   to itself (`_one_peer`, a `OnePeer`): every basis matrix and every draw of
   the one-peer samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and
   one-peer exponential;
-* uniform-weight undirected edge arrays (`_uniform_undirected`): grid (a
-  `Grid`), torus and hypercube (a `Circulant` over Z_m^2 or Z_2^d).
+* per-axis Laplacians of paths or cycles, whose Kronecker sum L gives
+  I - L / (max degree + 1) (`_lattice`): grid (a `Grid`), torus and
+  hypercube (a `Circulant` over Z_m^2 or Z_2^d).
 
 Node labels and matrix storage (CSR) are 0-based; only the start s of an
 "ou" matching counts from 1.  A matrix is the sampler that always draws itself
@@ -24,6 +25,7 @@ to share across workers; samplers are single-owner mutable state.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -167,6 +169,14 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _check_memory(n: int, entries: int, need: int, family: str, what: str = "of CSR") -> None:
+    """Refuse a matrix of `entries` stored entries whose build needs more than physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise ParameterError(f"an n = {n} {family} matrix stores {entries} entries, "
+                             f"{need} bytes {what}, more than the {have} bytes of physical memory")
+
+
 def _check_basis_value(u: int, n: int) -> None:
     if not 1 <= u <= n - 1:
         raise ParameterError(f"shift {u} outside [1, {n - 1}]")
@@ -222,10 +232,7 @@ def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
     n = c.size
     shifts = np.flatnonzero(c)
     k = shifts.size
-    need, have = 16 * n * k, _physical_memory()
-    if need > have:
-        raise ParameterError(f"an n = {n} {family} matrix stores {n * k} entries, "
-                             f"{need} bytes of CSR, more than the {have} bytes of physical memory")
+    _check_memory(n, n * k, 16 * n * k, family)
     rotations = sliding_window_view(np.tile(shifts[::-1], 2), k)[k::-1]
     order = np.repeat(rotations, np.diff(shifts, prepend=0, append=n), axis=0)
     data = c[order].ravel()
@@ -369,7 +376,6 @@ class DynSampler:
         self.spec = spec
         self.basis_index = basis_index
         self.rng = make_rng(spec.seed, spec.family, "sampler")
-        self.t = 0
 
     @property
     def n(self) -> int:
@@ -393,9 +399,7 @@ class OdEquiDynSampler(DynSampler):
 
     def sample(self) -> GossipMatrix:
         v = self._draw_shift()
-        w = _lazy_one_peer((np.arange(self.n) - v) % self.n, self.spec.eta, self.family, (v,))
-        self.t += 1
-        return w
+        return _lazy_one_peer((np.arange(self.n) - v) % self.n, self.spec.eta, self.family, (v,))
 
 
 class OuEquiDynSampler(DynSampler):
@@ -407,9 +411,7 @@ class OuEquiDynSampler(DynSampler):
         v = self._draw_shift()
         s = int(self.rng.integers(1, self.n + 1))
         rule = _euclid_partners if self.family == "ou-equidyn-euclid" else _ou_partners
-        w = _lazy_one_peer(rule(v, s, self.n), self.spec.eta, self.family, (v,))
-        self.t += 1
-        return w
+        return _lazy_one_peer(rule(v, s, self.n), self.spec.eta, self.family, (v,))
 
 
 class OnePeerExpSampler(DynSampler):
@@ -420,6 +422,7 @@ class OnePeerExpSampler(DynSampler):
     def __init__(self, spec):
         super().__init__(spec)
         self.hops = tuple(2**k for k in range(int(math.log2(spec.n - 1)) + 1))
+        self.t = 0
 
     def sample(self) -> GossipMatrix:
         hop = self.hops[self.t % len(self.hops)]
@@ -428,44 +431,42 @@ class OnePeerExpSampler(DynSampler):
         return w
 
 
-def _uniform_undirected(i: np.ndarray, j: np.ndarray, n: int, family: str,
-                        group: tuple[int, ...] | None) -> GossipMatrix:
-    """Symmetric matrix on the edges (i[e], j[e]), i < j, none repeated, weight 1/(max_degree + 1).
+def _axis_laplacian(m: int, edges: int) -> sparse.csr_array:
+    """Laplacian of the edges (i, (i + 1) % m), i < edges, on m nodes: the path, or the cycle
+    when edges == m.  int32 coordinates keep the Kronecker sums' temporaries small."""
+    i = np.arange(edges, dtype=np.int32)
+    j, node = (i + 1) % m, np.arange(m, dtype=np.int32)
+    deg = np.bincount(np.concatenate([i, j]), minlength=m)
+    return sparse.coo_array((np.concatenate([np.full(2 * edges, -1.0), deg]),
+                             (np.concatenate([i, j, node]), np.concatenate([j, i, node]))),
+                            shape=(m, m)).tocsr()
 
-    The diagonal absorbs the remainder, which keeps the matrix doubly
-    stochastic even when node degrees differ (e.g. grid borders).  The edges
-    form the grid, or the Cayley graph of the abelian group of shape `group`,
-    whose column is node 0's row.
+
+def _lattice(shape: tuple[int, ...], cyclic: bool, family: str) -> GossipMatrix:
+    """I - weight L on the nodes np.unravel_index(i, shape), weight = 1/(max degree + 1).
+
+    L is the Kronecker sum of one path Laplacian per axis, the last axis
+    varying fastest, each closed into a cycle when `cyclic` and the axis has
+    3 nodes or more; the diagonal absorbs the remainder.  The torus and the
+    hypercube are group circulants whose column is column 0; the grid is a
+    `Grid`.  A build's peak RSS came to 48 bytes per stored entry (grid and
+    torus at n = 4e6, hypercube at 2^20) and 50 (hypercube at 2^21), 2.7-3.1
+    times the CSR; a build counted at 56 bytes per entry that would not fit
+    in physical memory is refused before any axis is built.
     """
-    deg = np.bincount(np.concatenate([i, j]), minlength=n)
-    w = 1.0 / (deg.max() + 1.0)
-    diag = np.arange(n)
-    rows, cols = np.concatenate([i, j, diag]), np.concatenate([j, i, diag])
-    vals = np.concatenate([np.full(2 * i.size, w), 1.0 - deg * w])
-    order = np.argsort(rows * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg + 1, out=indptr[1:])
-    mat = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
-    if group is None:
-        return GossipMatrix(n, mat, family, None, Grid(math.isqrt(n), w))
-    c = np.zeros(n)
-    c[j[i == 0]], c[0] = w, 1.0 - deg[0] * w
-    return GossipMatrix(n, mat, family, None, Circulant(c.reshape(group)))
-
-
-def _lattice_edges(m: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (i, j), i < j, of the m x m grid or torus on nodes a * m + b."""
-    node = np.arange(m * m).reshape(m, m)
-    if periodic:
-        ends = [(node, np.roll(node, -1, axis=0)), (node, np.roll(node, -1, axis=1))]
-    else:
-        ends = [(node[:-1], node[1:]), (node[:, :-1], node[:, 1:])]
-    i = np.concatenate([a.ravel() for a, _ in ends])
-    j = np.concatenate([b.ravel() for _, b in ends])
-    edges = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)[i != j]
-    if periodic and m <= 2:  # both neighbours along an axis are the same node
-        edges = np.unique(edges, axis=0)
-    return edges[:, 0], edges[:, 1]
+    n = math.prod(shape)
+    edges = [m if cyclic and m >= 3 else m - 1 for m in shape]
+    entries = n + sum(n // m * 2 * e for m, e in zip(shape, edges))
+    _check_memory(n, entries, 56 * entries, family, "at the build's peak")
+    weight = 1.0 / (sum(min(e, 2) for e in edges) + 1.0)
+    lap = functools.reduce(lambda slow, fast: sparse.kronsum(fast, slow),
+                           map(_axis_laplacian, shape, edges))
+    lap.data *= -weight
+    lap.setdiag(lap.diagonal() + 1.0)   # I - weight L
+    mat = sparse.csr_array((lap.data, lap.indices.astype(np.int64), lap.indptr.astype(np.int64)),
+                           shape=(n, n))
+    structure = Circulant(mat[:, 0].toarray().reshape(shape)) if cyclic else Grid(shape[0], weight)
+    return GossipMatrix(n, mat, family, None, structure)
 
 
 def complete_basis(n: int) -> BasisIndex:
@@ -504,17 +505,11 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
         m = math.isqrt(n)
         if m * m != n:
             raise ParameterError(f"{family} requires n to be a perfect square, got {n}")
-        periodic = family == "torus"
-        return _uniform_undirected(*_lattice_edges(m, periodic), n, family,
-                                   (m, m) if periodic else None)
+        return _lattice((m, m), family == "torus", family)
     if family == "hypercube":
         if n & (n - 1) != 0:
             raise ParameterError(f"hypercube requires n to be a power of 2, got {n}")
-        d = n.bit_length() - 1
-        i = np.arange(n)[:, None]
-        j = i ^ (1 << np.arange(d))
-        up = i < j
-        return _uniform_undirected(np.broadcast_to(i, j.shape)[up], j[up], n, family, (2,) * d)
+        return _lattice((2,) * (n.bit_length() - 1), True, family)
     if family == "static-exp":
         hops = [2**k for k in range(int(math.log2(n - 1)) + 1)]
         c = np.zeros(n)

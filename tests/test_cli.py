@@ -435,15 +435,24 @@ def test_construction_failure_exit_code(tmp_path, capsys):
 
 
 def test_matrix_beyond_physical_memory_refused_before_allocating(tmp_path, capsys, monkeypatch):
-    """complete n = 10^5 stores 10^10 entries, 1.6e11 bytes of CSR: exit 2, nothing written."""
+    """complete n = 10^5 stores 10^10 entries, 1.6e11 bytes of CSR; grid and torus at
+    n = 10^10 (m = 10^5) and the hypercube at 2^40 are counted at 56 bytes per stored entry,
+    the diagonal plus both ends of every edge: exit 2, nothing written."""
     page = os.sysconf("SC_PAGE_SIZE")
     pages = min(os.sysconf("SC_PHYS_PAGES"), 2**36 // page)   # a larger host counts as 64 GiB
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": pages}.__getitem__)
-    out = tmp_path / "w.csv"
-    assert run_cli(["topo-build", "--family", "complete", "--n", "100000", "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert "10000000000 entries" in err and "160000000000 bytes" in err and "physical memory" in err
-    assert list(tmp_path.iterdir()) == []
+    m = 10**5
+    for family, n, entries, need in [
+            ("complete", m, m * m, 16 * m * m),
+            ("grid", m * m, m * m + 2 * 2 * m * (m - 1), 56 * (m * m + 4 * m * (m - 1))),
+            ("torus", m * m, m * m + 2 * 2 * m * m, 56 * 5 * m * m),
+            ("hypercube", 2**40, 2**40 + 2 * 40 * 2**39, 56 * 41 * 2**40)]:
+        out = tmp_path / "w.csv"
+        assert run_cli(["topo-build", "--family", family, "--n", n, "--out", out]) == 2, family
+        err = capsys.readouterr().err
+        assert f"n = {n} {family}" in err and f"{entries} entries, {need} bytes" in err, err
+        assert "physical memory" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_export_beyond_physical_memory_refused_before_formatting(tmp_path, capsys,

@@ -10,8 +10,7 @@ import equitopo as eq
 from scipy import sparse
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant,
-                               _lattice_edges, _uniform_undirected)
+                               STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant, _lattice)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_edge_set, lattice_edge_set, matched_node_count, matrix_csv_loop,
@@ -251,7 +250,6 @@ def test_od_sampler_deterministic_sequence():
     s2 = eq.OdEquiDynSampler(spec_for("od-equidyn", n, seed=9), eq.complete_basis(n))
     for _ in range(5):
         assert np.array_equal(s1.sample().toarray(), s2.sample().toarray())
-    assert s1.t == 5
 
 
 def test_od_empty_basis_rejected():
@@ -440,7 +438,7 @@ def test_lattices_match_edge_set_assembly(family):
     for m in range(1, 41):
         n = m * m
         if n == 1:   # below the smallest TopologySpec, so through the builder itself
-            w = _uniform_undirected(*_lattice_edges(1, periodic), 1, family, None)
+            w = _lattice((1, 1), periodic, family)
         else:
             w = eq.build_topology(eq.TopologySpec(family, n))
         assert_same_csr(w.mat, uniform_undirected_coo(lattice_edge_set(m, periodic), n))
@@ -452,6 +450,35 @@ def test_hypercube_matches_edge_set_assembly():
         w = eq.build_topology(eq.TopologySpec("hypercube", 2**k))
         assert_same_csr(w.mat, uniform_undirected_coo(hypercube_edge_set(2**k), 2**k))
         assert w.mat.has_canonical_format
+
+
+@pytest.mark.parametrize("family, n", [("grid", 10**4), ("torus", 10**4), ("hypercube", 2**13)])
+def test_lattice_builds_in_exactly_its_counted_memory(family, n, monkeypatch):
+    """The count is 56 bytes per stored entry of the edge-set assembly: that much memory
+    builds the same matrix, one byte less is refused."""
+    edges = (hypercube_edge_set(n) if family == "hypercube"
+             else lattice_edge_set(math.isqrt(n), family == "torus"))
+    ref = uniform_undirected_coo(edges, n)
+    need = 56 * ref.nnz
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: need)
+    assert_same_csr(eq.build_topology(eq.TopologySpec(family, n)).mat, ref)
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: need - 1)
+    with pytest.raises(eq.ParameterError, match=f"{ref.nnz} entries, {need} bytes"):
+        eq.build_topology(eq.TopologySpec(family, n))
+
+
+@pytest.mark.parametrize("family, n", [("grid", 10**10), ("torus", 10**10), ("hypercube", 2**40)])
+def test_refused_lattice_allocates_little(family, n, monkeypatch):
+    """The refusal comes before any axis Laplacian is built."""
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: 2**36)
+    tracemalloc.start()
+    try:
+        with pytest.raises(eq.ParameterError, match="physical memory"):
+            eq.build_topology(eq.TopologySpec(family, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_static_exp_hops():
@@ -494,8 +521,7 @@ def test_spec_range_validation(field, kw):
 def test_every_family_emits_doubly_stochastic_matrices(family):
     n = family_n(family)
     topo = eq.build_topology(spec_for(family, n, seed=1))
-    mats = [topo.sample() for _ in range(3)] if isinstance(topo, eq.DynSampler) else [topo]
-    for w in mats:
+    for w in [topo.sample() for _ in range(3)]:
         assert sum_deviation(w) <= 1e-12, family
         assert w.mat.data.min() >= 0.0, family
 
@@ -537,7 +563,7 @@ def test_matrix_csv_matches_loop_export(family):
     for n in ({"grid": (16, 100), "torus": (16, 100), "hypercube": (16, 128)}
               .get(family, (12, 97))):
         topo = eq.build_topology(spec_for(family, n, m=None, seed=4))
-        w = topo.sample() if isinstance(topo, eq.DynSampler) else topo
+        w = topo.sample()
         assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
 
 
