@@ -49,7 +49,7 @@ def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int) -> Consensus
     residuals[0] = np.linalg.norm(x - mean0)
     max_drift = 0.0
     for t in range(1, iters + 1):
-        x = topology.sample().mat @ x
+        x = topology.sample().mix(x)
         if not np.isfinite(x).all():
             raise NonFiniteError(f"non-finite state at iteration {t}")
         max_drift = max(max_drift, abs(x.mean() - mean0) / (1.0 + abs(mean0)))

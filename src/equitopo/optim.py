@@ -204,7 +204,7 @@ def dsgd_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> O
     if gamma < 0.0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     g = problem.stoch_grads_all(state.x, rng)
-    return OptState(x=w.mat @ (state.x - gamma * g))
+    return OptState(x=w.mix(state.x - gamma * g))
 
 
 def dsgt_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> OptState:
@@ -212,9 +212,9 @@ def dsgt_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> O
     _check_dims(state, w, problem)
     if state.y is None or state.g_prev is None:
         raise ParameterError("tracking state not initialized (y must start at G0)")
-    x_new = w.mat @ (state.x - gamma * state.y)
+    x_new = w.mix(state.x - gamma * state.y)
     g_new = problem.stoch_grads_all(x_new, rng)
-    y_new = w.mat @ state.y + g_new - state.g_prev
+    y_new = w.mix(state.y) + g_new - state.g_prev
     return OptState(x=x_new, y=y_new, g_prev=g_new)
 
 

@@ -107,7 +107,7 @@ def empirical_contraction(topology: GossipMatrix | DynSampler, trials: int,
             x = _center(rng.standard_normal(n))
             norm_x = np.linalg.norm(x)
         x /= norm_x
-        y = _center(topology.sample().mat @ x)
+        y = _center(topology.sample().mix(x))
         ratios[k] = y @ y
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / np.sqrt(trials))

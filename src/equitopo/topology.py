@@ -1,26 +1,29 @@
 """Construction of doubly-stochastic gossip matrices.
 
-Every family is built from one of three representations, each turned
-into CSR by one builder, which leaves it on the matrix as the
-`structure` that `spectral.consensus_factor` reads:
+Every family is built from one of three representations, left on the
+matrix as the `structure` that `spectral.consensus_factor` reads:
 
 * a circulant column c, W[i, j] = c[(i - j) % n], one weight per shift
   (`_circulant`, a `Circulant`): "d-equistatic", the average of M one-peer
   shift graphs; its symmetrization "u-equistatic"; and the baselines ring,
   static exponential and complete;
 * a partner array, node i mixing with partner[i] and an idle node pointing
-  to itself (`_one_peer`, a `OnePeer`): every basis matrix and every draw of
-  the one-peer samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and
-  one-peer exponential;
+  to itself (a `OnePeer`): every basis matrix and every draw of the one-peer
+  samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and one-peer
+  exponential.  Such a matrix mixes as a gather, `GossipMatrix.mix` computing
+  diag x + off x[partner], and its CSR is slotted only when `mat` is read
+  (an export, `toarray`);
 * per-axis Laplacians of paths or cycles, whose Kronecker sum L gives
   I - L / (max degree + 1) (`_lattice`): grid (a `Grid`), torus and
   hypercube (a `Circulant` over Z_m^2 or Z_2^d).
 
-Node labels and matrix storage (CSR) are 0-based; only the start s of an
-"ou" matching counts from 1.  A matrix is the sampler that always draws itself
-(`GossipMatrix.sample`), so a step loop draws `topology.sample()` whether the
-topology is static or dynamic.  Constructed matrices are immutable and safe
-to share across workers; samplers are single-owner mutable state.
+The circulants and lattices are built straight into CSR by `_circulant` and
+`_lattice`, and mix as CSR products.  Node labels and matrix storage (CSR)
+are 0-based; only the start s of an "ou" matching counts from 1.  A matrix is
+the sampler that always draws itself (`GossipMatrix.sample`), so a step loop
+draws `topology.sample()` and mixes with `mix` whether the topology is static
+or dynamic.  Constructed matrices are immutable and safe to share across
+workers; samplers are single-owner mutable state.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ class Circulant(NamedTuple):
 
 
 class OnePeer(NamedTuple):
-    """What `_one_peer` is handed; `diag`, a scalar or one per row, is equal on paired rows."""
+    """Row i keeps `diag` and takes `off` from column partner[i]; an idle row has
+    partner[i] == i and `off` 0.  Each weight is a scalar or one per row, `diag` equal on
+    paired rows."""
 
     partner: np.ndarray
-    off: float
+    off: float | np.ndarray
     diag: float | np.ndarray
 
     @property
@@ -73,7 +78,7 @@ class OnePeer(NamedTuple):
         if v == 0 or not np.array_equal(self.partner, (np.arange(n) - v) % n):
             return None
         c = np.zeros(n)
-        c[0], c[v] = np.ravel(self.diag)[0], self.off
+        c[0], c[v] = np.ravel(self.diag)[0], np.ravel(self.off)[0]
         return c
 
 
@@ -84,21 +89,62 @@ class Grid(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
 class GossipMatrix:
-    """Immutable sparse doubly-stochastic n x n mixing matrix with provenance tags."""
+    """Immutable sparse doubly-stochastic n x n mixing matrix with provenance tags.
 
-    n: int
-    mat: sparse.csr_array
-    family: str
-    basis_index: tuple[int, ...] | None = None
-    structure: Circulant | OnePeer | Grid | None = None   # None: built elsewhere
+    A one-peer matrix is built from its `OnePeer` alone (`mat` None): `mix`
+    gathers from the partner array, and the CSR is slotted on the first read
+    of `mat`.  Every other matrix is handed its CSR.
+    """
 
-    def __post_init__(self):
-        for arr in (self.mat.data, self.mat.indices, self.mat.indptr):
-            arr.flags.writeable = False
-        if isinstance(self.structure, Circulant):   # not a draw's arrays: no per-draw work
-            self.structure.column.flags.writeable = False
+    def __init__(self, n: int, mat: sparse.csr_array | None, family: str,
+                 basis_index: tuple[int, ...] | None = None,
+                 structure: Circulant | OnePeer | Grid | None = None):   # None: built elsewhere
+        if mat is None and not isinstance(structure, OnePeer):
+            raise ParameterError("only a one-peer matrix is built without its CSR")
+        vars(self).update(n=n, family=family, basis_index=basis_index, structure=structure)
+        if mat is not None:
+            vars(self)["mat"] = _frozen(mat)
+        if isinstance(structure, Circulant):   # not a draw's arrays: no per-draw work
+            structure.column.flags.writeable = False
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GossipMatrix is immutable; cannot set {name!r}")
+
+    @functools.cached_property
+    def mat(self) -> sparse.csr_array:
+        """A one-peer matrix's sorted CSR, slotted from its partner array on first read;
+        an idle row stores its diagonal only."""
+        src, off, diag = self.structure
+        n = self.n
+        i = np.arange(n)
+        paired = src != i
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(paired + 1, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        data = np.empty(indptr[-1])
+        slot = indptr[:-1] + (src < i)  # the diagonal follows a partner with a lower column
+        indices[slot], data[slot] = i, diag
+        slot = indptr[:-1][paired] + (src > i)[paired]
+        indices[slot], data[slot] = src[paired], np.broadcast_to(off, n)[paired]
+        return _frozen(sparse.csr_array((data, indices, indptr), shape=(n, n)))
+
+    def mix(self, x: np.ndarray) -> np.ndarray:
+        """W @ x for x of shape (n,) or (n, d).
+
+        A one-peer matrix gathers: row i is diag x_i + off x_partner[i], off 0
+        on idle rows.  Addition commutes, so a finite row equals the CSR
+        product's 0 + a x_j + b x_k bit for bit, unless both terms are -0.0;
+        an idle row of an infinite x_i is NaN where the CSR gives inf.
+        """
+        s = self.structure
+        if not isinstance(s, OnePeer):
+            return self.mat @ x
+        rows = (-1,) + (1,) * (x.ndim - 1)   # a weight per row, broadcast over columns
+        y = np.take(x, s.partner, axis=0)
+        y *= np.reshape(s.off, rows)
+        y += np.reshape(s.diag, rows) * x
+        return y
 
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
@@ -106,6 +152,12 @@ class GossipMatrix:
     def sample(self) -> GossipMatrix:
         """The draw of a static topology: the matrix itself, at every step."""
         return self
+
+
+def _frozen(mat: sparse.csr_array) -> sparse.csr_array:
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True)
@@ -182,41 +234,23 @@ def _check_basis_value(u: int, n: int) -> None:
         raise ParameterError(f"shift {u} outside [1, {n - 1}]")
 
 
-def _one_peer(src, off, diag, family, basis_index=None) -> GossipMatrix:
-    """One-peer matrix from its partner array, built straight into sorted CSR.
-
-    Row i keeps `diag` (a scalar or a per-row vector) and takes `off` from
-    column src[i]; an idle row has src[i] == i and stores its diagonal only.
-    """
-    n = len(src)
-    i = np.arange(n)
-    paired = src != i
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(paired + 1, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    slot = indptr[:-1] + (src < i)  # the diagonal follows a partner with a lower column
-    indices[slot], data[slot] = i, diag
-    slot = indptr[:-1][paired] + (src > i)[paired]
-    indices[slot], data[slot] = src[paired], off
-    return GossipMatrix(n, sparse.csr_array((data, indices, indptr), shape=(n, n)),
-                        family, basis_index, OnePeer(src, off, diag))
-
-
 def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
     """(1 - eta) I + eta A, where A gives (n-1)/n to the partner and keeps 1/n, or 1 when idle.
 
     eta = 1 yields A itself, bit for bit.
     """
     n = len(src)
-    diag = np.where(src != np.arange(n), (1.0 - eta) + (1.0 / n) * eta, (1.0 - eta) + eta)
-    return _one_peer(src, (1.0 - 1.0 / n) * eta, diag, family, basis_index)
+    paired = src != np.arange(n)
+    diag = np.where(paired, (1.0 - eta) + (1.0 / n) * eta, (1.0 - eta) + eta)
+    off = np.where(paired, (1.0 - 1.0 / n) * eta, 0.0)
+    return GossipMatrix(n, None, family, basis_index, OnePeer(src, off, diag))
 
 
 def basis_matrix(u: int, n: int) -> GossipMatrix:
     """One-peer shift matrix: node j sends to (j + u) % n with weight (n-1)/n, keeps 1/n."""
     _check_basis_value(u, n)
-    return _one_peer((np.arange(n) - u) % n, 1.0 - 1.0 / n, 1.0 / n, "basis", (u,))
+    partner = (np.arange(n) - u) % n
+    return GossipMatrix(n, None, "basis", (u,), OnePeer(partner, 1.0 - 1.0 / n, 1.0 / n))
 
 
 def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
@@ -296,19 +330,30 @@ def _check_start(v: int, s: int, n: int) -> None:
 
 
 def _ou_partners(v: int, s: int, n: int) -> np.ndarray:
-    """Closed form of the greedy scan's matching for shift v and 1-based start s.
+    """The greedy scan's matching for shift v and 1-based start s, built from slices.
 
-    Nodes are grouped by their offset k from the start index modulo the
-    effective hop q and alternate forward/backward connections along each
-    group; a group of odd length leaves its last node idle.
+    With the effective hop q = min(v, n - v), count offsets k forward from
+    node s - 1 (q = v) or from its first partner s - 1 - q (q = n - v): the
+    node at offset k pairs with the node q ahead when k // q is even and q
+    behind when it is odd, the pattern +q (q times), -q (q times), ... cut
+    to n.  The last q offsets close their residue class mod q; a +q there
+    would leave the ring, so those nodes are idle.  The pattern is rotated
+    from offsets to nodes and added to the node labels; only the first q can
+    fall below 0 and only the last q reach n.
     """
     q, shift = (v, 0) if 2 * v <= n else (n - v, n - v)
-    i = np.arange(n)
-    k = (i - (s - 1) + shift) % n
-    dd = k // q
-    limit = (n - 1 - k % q) // q
-    matched = (limit % 2 == 1) | (dd < limit)
-    return np.where(matched, np.where(dd % 2 == 0, i + q, i - q) % n, i)
+    hop = np.empty((-(-n // (2 * q)), 2, q), dtype=np.int64)
+    hop[:, 0], hop[:, 1] = q, -q
+    hop = hop.reshape(-1)[:n]
+    np.minimum(hop[n - q:], 0, out=hop[n - q:])
+    r = (shift - (s - 1)) % n   # node i sits at offset (i + r) % n
+    partner = np.arange(n)
+    partner[:n - r] += hop[r:]
+    partner[n - r:] += hop[:r]
+    head, tail = partner[:q], partner[n - q:]
+    np.add(head, n, out=head, where=head < 0)
+    np.subtract(tail, n, out=tail, where=tail >= n)
+    return partner
 
 
 def _euclid_partners(v: int, s: int, n: int) -> np.ndarray:
@@ -339,7 +384,8 @@ def ou_scan_matrix(v: int, s: int, n: int) -> GossipMatrix:
 
 
 def ou_equidyn_node_view(v: int, s: int, n: int) -> GossipMatrix:
-    """Each node derives its matching partner independently from (v, s).
+    """The greedy scan's matching without the scan: `_ou_partners` adds a +q/-q hop
+    pattern, built from slices and rotated to the start s, to the node labels.
 
     Produces a matrix bit-identical to `ou_scan_matrix(v, s, n)`.
     """
@@ -363,8 +409,8 @@ class DynSampler:
 
     Single-owner: concurrent experiments should hold independent samplers with
     distinct seeds.  Given identical (spec, seed) the emitted sequence is
-    identical across runs.  A subclass's `sample` makes each draw, a partner
-    array turned into CSR by `_one_peer`.
+    identical across runs.  A subclass's `sample` makes each draw, a
+    `GossipMatrix` built from its partner array alone.
     """
 
     families: tuple[str, ...] = ()
@@ -426,9 +472,9 @@ class OnePeerExpSampler(DynSampler):
 
     def sample(self) -> GossipMatrix:
         hop = self.hops[self.t % len(self.hops)]
-        w = _one_peer((np.arange(self.n) - hop) % self.n, 0.5, 0.5, self.family)
         self.t += 1
-        return w
+        return GossipMatrix(self.n, None, self.family, None,
+                            OnePeer((np.arange(self.n) - hop) % self.n, 0.5, 0.5))
 
 
 def _axis_laplacian(m: int, edges: int) -> sparse.csr_array:

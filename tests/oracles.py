@@ -5,7 +5,8 @@ against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
 dense SVD of the mean-centred matrix, a long-double DFT or a long-double
 closed form, carried circulant columns against the CSR they were built into, one-peer
-draws against dense matrices built node by node, sparsity against off-diagonal
+draws against dense matrices built node by node, the ou partner rule against the
+greedy scan run node by node, sparsity against off-diagonal
 degrees counted on the dense matrix, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
 CSV export against a per-entry formatting loop, and the problem kernels
@@ -83,6 +84,18 @@ def euclid_matching(v, s, n):
                 j = (i + v) % n
                 a[i, j] = a[j, i] = 1.0 - 1.0 / n
     return a
+
+
+def ou_scan_partners(v, s, n):
+    """Partner array of the greedy ou scan: j = s-1, ..., s+n-2 (mod n) pairs with (j + v) % n
+    when both are still free; an idle node is its own partner."""
+    partner = list(range(n))
+    for step in range(n):
+        j = (s - 1 + step) % n
+        i = (j + v) % n
+        if partner[i] == i and partner[j] == j:
+            partner[i], partner[j] = j, i
+    return np.array(partner)
 
 
 def hop_permutation(hop, n):

@@ -10,11 +10,12 @@ import equitopo as eq
 from scipy import sparse
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant, _lattice)
+                               STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant, _lattice,
+                               _ou_partners)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_edge_set, lattice_edge_set, matched_node_count, matrix_csv_loop,
-                     max_off_diagonal_degree, uniform_undirected_coo)
+                     max_off_diagonal_degree, ou_scan_partners, uniform_undirected_coo)
 
 
 def spec_for(family, n, **kw):
@@ -296,6 +297,15 @@ def test_ou_node_view_matches_scan_bitwise(n):
             assert np.array_equal(a.toarray(), b.toarray()), (n, v, s)
 
 
+def test_ou_partner_rule_matches_scan_for_every_shift_and_start():
+    for n in range(2, 41):
+        for v in range(1, n):
+            for s in range(1, n + 1):
+                partner = _ou_partners(v, s, n)
+                assert partner.dtype == np.int64
+                assert np.array_equal(partner, ou_scan_partners(v, s, n)), (n, v, s)
+
+
 def test_ou_node_view_antipode():
     w = eq.ou_equidyn_node_view(4, 3, 8)
     assert matched_pairs(w) == {(1, 5), (2, 6), (3, 7), (4, 8)}
@@ -390,6 +400,76 @@ def test_sampler_rejects_family_it_does_not_draw(cls, family):
     spec = eq.TopologySpec(family, 8)
     with pytest.raises(eq.ParameterError, match=family):
         cls(spec) if cls is eq.OnePeerExpSampler else cls(spec, eq.complete_basis(8))
+
+
+# ---------------------------------------------------------------- mixing
+
+def one_peer_sources(n):
+    """One-peer matrices from every builder, over a few (v, s), and draws of the four samplers."""
+    for v in sorted({1, n // 2, n - 1} - {0}):
+        yield eq.basis_matrix(v, n)
+        for s in sorted({1, n // 2 + 1, n}):
+            yield eq.ou_scan_matrix(v, s, n)
+            yield eq.ou_equidyn_node_view(v, s, n)
+            yield eq.ou_equidyn_euclid(v, s, n)
+    for family in DYNAMIC_FAMILIES:
+        sampler = eq.build_topology(spec_for(family, n, eta=0.3, seed=n))
+        for _ in range(3):
+            yield sampler.sample()
+
+
+def assert_mix_is_csr_product(w, x):
+    """Equal bits where the CSR product is finite, and the same non-finite entries."""
+    y, expected = w.mix(x), w.mat @ x
+    finite = np.isfinite(expected)
+    assert y.shape == expected.shape and y.dtype == np.float64
+    assert np.array_equal(np.isfinite(y), finite)
+    assert np.array_equal(y[finite].view(np.int64), expected[finite].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 1000])
+def test_one_peer_mix_is_the_csr_product_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    blowup = rng.standard_normal((n, 10))
+    rows = rng.permutation(n)[:max(3, n // 4)]
+    blowup[rows[0::3]], blowup[rows[1::3]], blowup[rows[2::3]] = np.inf, -np.inf, np.nan
+    xs = (rng.standard_normal(n), rng.standard_normal((n, 10)), blowup, blowup[:, 0].copy())
+    with np.errstate(invalid="ignore"):   # 0 * inf on idle rows
+        for w in one_peer_sources(n):
+            for x in xs:
+                assert_mix_is_csr_product(w, x)
+
+
+def test_static_mix_is_the_csr_product():
+    for family in STATIC_FAMILIES:
+        w = eq.build_topology(spec_for(family, family_n(family), seed=2))
+        rng = np.random.default_rng(0)
+        for x in (rng.standard_normal(w.n), rng.standard_normal((w.n, 10))):
+            assert w.mix(x).tobytes() == (w.mat @ x).tobytes(), family
+
+
+@pytest.mark.parametrize("family", DYNAMIC_FAMILIES)
+def test_one_peer_draw_mixes_without_its_csr_and_assembles_it_on_read(family):
+    n = 23
+    sampler = eq.build_topology(spec_for(family, n, eta=0.3, seed=4))
+    for _ in range(6):
+        w = sampler.sample()
+        w.mix(np.ones(n))
+        w.mix(np.ones((n, 3)))
+        assert "mat" not in vars(w)
+        mat = w.mat
+        assert vars(w)["mat"] is mat is w.mat
+        # the canonical CSR of the draw's entries, which the replay tests above check
+        csr = sparse.csr_array(w.toarray())
+        assert mat.data.tobytes() == csr.data.tobytes()
+        assert np.array_equal(mat.indices, csr.indices) and np.array_equal(mat.indptr, csr.indptr)
+        assert mat.indices.dtype == mat.indptr.dtype == np.int64 and mat.has_sorted_indices
+        assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
+
+
+def test_matrix_without_csr_must_be_one_peer():
+    with pytest.raises(eq.ParameterError, match="one-peer"):
+        eq.GossipMatrix(4, None, "custom")
 
 
 # ---------------------------------------------------------------- baselines
