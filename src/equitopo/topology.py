@@ -17,8 +17,11 @@ matrix as the `structure` that `spectral.consensus_factor` reads:
   I - L / (max degree + 1) (`_lattice`): grid (a `Grid`), torus and
   hypercube (a `Circulant` over Z_m^2 or Z_2^d).
 
-The circulants and lattices are built straight into CSR by `_circulant` and
-`_lattice`, and mix as CSR products.  Node labels and matrix storage (CSR)
+A cyclic circulant is built from its column alone, like a one-peer matrix,
+and its CSR is assembled on the first read of `mat` (a mix, an export,
+`toarray`); `consensus_factor` needs only the column.  The lattices are built
+straight into CSR by `_lattice`.  Both mix as CSR products, so `scipy.sparse`
+is imported only where a CSR is assembled.  Node labels and matrix storage (CSR)
 are 0-based; only the start s of an "ou" matching counts from 1.  A matrix is
 the sampler that always draws itself (`GossipMatrix.sample`), so a step loop
 draws `topology.sample()` and mixes with `mix` whether the topology is static
@@ -32,11 +35,13 @@ import functools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 from .errors import ConstructionError, ParameterError
 from .seeds import derive_seed, make_rng
@@ -92,16 +97,20 @@ class Grid(NamedTuple):
 class GossipMatrix:
     """Immutable sparse doubly-stochastic n x n mixing matrix with provenance tags.
 
-    A one-peer matrix is built from its `OnePeer` alone (`mat` None): `mix`
-    gathers from the partner array, and the CSR is slotted on the first read
-    of `mat`.  Every other matrix is handed its CSR.
+    A one-peer matrix is built from its `OnePeer` alone and a cyclic
+    circulant from its 1-D `Circulant` alone (`mat` None); the CSR of either
+    is assembled on the first read of `mat`.  A lattice is handed its CSR.
+    `mix` gathers from a one-peer partner array and multiplies by any other
+    matrix's CSR.
     """
 
     def __init__(self, n: int, mat: sparse.csr_array | None, family: str,
                  basis_index: tuple[int, ...] | None = None,
                  structure: Circulant | OnePeer | Grid | None = None):   # None: built elsewhere
-        if mat is None and not isinstance(structure, OnePeer):
-            raise ParameterError("only a one-peer matrix is built without its CSR")
+        if mat is None and not (isinstance(structure, OnePeer) or
+                                (isinstance(structure, Circulant) and structure.column.ndim == 1)):
+            raise ParameterError("only a one-peer or cyclic circulant matrix is built "
+                                 "without its CSR")
         vars(self).update(n=n, family=family, basis_index=basis_index, structure=structure)
         if mat is not None:
             vars(self)["mat"] = _frozen(mat)
@@ -113,20 +122,40 @@ class GossipMatrix:
 
     @functools.cached_property
     def mat(self) -> sparse.csr_array:
-        """A one-peer matrix's sorted CSR, slotted from its partner array on first read;
-        an idle row stores its diagonal only."""
-        src, off, diag = self.structure
-        n = self.n
-        i = np.arange(n)
-        paired = src != i
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(paired + 1, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1])
-        slot = indptr[:-1] + (src < i)  # the diagonal follows a partner with a lower column
-        indices[slot], data[slot] = i, diag
-        slot = indptr[:-1][paired] + (src > i)[paired]
-        indices[slot], data[slot] = src[paired], np.broadcast_to(off, n)[paired]
+        """The sorted CSR of a cyclic circulant or a one-peer matrix, assembled on first read.
+
+        A circulant's row i stores the support S of its column c at columns
+        (i - u) % n.  Walking S from the largest shift down gives ascending
+        columns i - u for u <= i; the shifts above i land on columns above i,
+        so they rotate to the row's end.  The rows from one shift up to the
+        next share one rotation.  A one-peer row stores its diagonal and, when
+        paired, its partner's weight; an idle row stores its diagonal only.
+        """
+        from scipy import sparse
+
+        n, s = self.n, self.structure
+        if isinstance(s, Circulant):
+            c = s.column
+            shifts = np.flatnonzero(c)
+            k = shifts.size
+            rotations = sliding_window_view(np.tile(shifts[::-1], 2), k)[k::-1]
+            order = np.repeat(rotations, np.diff(shifts, prepend=0, append=n), axis=0)
+            data = c[order].ravel()
+            indices = np.subtract(np.arange(n)[:, None], order, out=order)
+            np.add(indices, n, out=indices, where=indices < 0)
+            indices, indptr = indices.ravel(), np.arange(0, n * k + 1, k)
+        else:
+            src, off, diag = s
+            i = np.arange(n)
+            paired = src != i
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(paired + 1, out=indptr[1:])
+            indices = np.empty(indptr[-1], dtype=np.int64)
+            data = np.empty(indptr[-1])
+            slot = indptr[:-1] + (src < i)  # the diagonal follows a partner with a lower column
+            indices[slot], data[slot] = i, diag
+            slot = indptr[:-1][paired] + (src > i)[paired]
+            indices[slot], data[slot] = src[paired], np.broadcast_to(off, n)[paired]
         return _frozen(sparse.csr_array((data, indices, indptr), shape=(n, n)))
 
     def mix(self, x: np.ndarray) -> np.ndarray:
@@ -135,15 +164,17 @@ class GossipMatrix:
         A one-peer matrix gathers: row i is diag x_i + off x_partner[i], off 0
         on idle rows.  Addition commutes, so a finite row equals the CSR
         product's 0 + a x_j + b x_k bit for bit, unless both terms are -0.0;
-        an idle row of an infinite x_i is NaN where the CSR gives inf.
+        an idle row of an infinite x_i is NaN where the CSR gives inf.  Like
+        the CSR product, the gather warns of neither.
         """
         s = self.structure
         if not isinstance(s, OnePeer):
             return self.mat @ x
         rows = (-1,) + (1,) * (x.ndim - 1)   # a weight per row, broadcast over columns
         y = np.take(x, s.partner, axis=0)
-        y *= np.reshape(s.off, rows)
-        y += np.reshape(s.diag, rows) * x
+        with np.errstate(invalid="ignore"):   # 0 * inf on an idle row, inf - inf on a paired one
+            y *= np.reshape(s.off, rows)
+            y += np.reshape(s.diag, rows) * x
         return y
 
     def toarray(self) -> np.ndarray:
@@ -254,26 +285,16 @@ def basis_matrix(u: int, n: int) -> GossipMatrix:
 
 
 def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
-    """Circulant matrix W[i, j] = c[(i - j) % n], built straight into sorted CSR.
+    """Circulant matrix W[i, j] = c[(i - j) % n], its sorted CSR assembled on the first
+    read of `mat`.
 
-    Row i stores the support S of c at columns (i - u) % n.  Walking S from
-    the largest shift down gives ascending columns i - u for u <= i; the
-    shifts above i land on columns above i, so they rotate to the row's end.
-    The rows from one shift up to the next share one rotation.  A matrix whose
-    CSR (8-byte data and indices) would not fit in physical memory is refused
-    before anything is allocated.
+    A matrix whose CSR (8-byte data and indices) would not fit in physical
+    memory is refused here, before anything is allocated.
     """
     n = c.size
-    shifts = np.flatnonzero(c)
-    k = shifts.size
+    k = np.count_nonzero(c)
     _check_memory(n, n * k, 16 * n * k, family)
-    rotations = sliding_window_view(np.tile(shifts[::-1], 2), k)[k::-1]
-    order = np.repeat(rotations, np.diff(shifts, prepend=0, append=n), axis=0)
-    data = c[order].ravel()
-    indices = np.subtract(np.arange(n)[:, None], order, out=order)
-    np.add(indices, n, out=indices, where=indices < 0)
-    mat = sparse.csr_array((data, indices.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
-    return GossipMatrix(n, mat, family, basis_index, Circulant(c))
+    return GossipMatrix(n, None, family, basis_index, Circulant(c))
 
 
 def build_d_equistatic(spec: TopologySpec) -> tuple[GossipMatrix, BasisIndex]:
@@ -480,6 +501,8 @@ class OnePeerExpSampler(DynSampler):
 def _axis_laplacian(m: int, edges: int) -> sparse.csr_array:
     """Laplacian of the edges (i, (i + 1) % m), i < edges, on m nodes: the path, or the cycle
     when edges == m.  int32 coordinates keep the Kronecker sums' temporaries small."""
+    from scipy import sparse
+
     i = np.arange(edges, dtype=np.int32)
     j, node = (i + 1) % m, np.arange(m, dtype=np.int32)
     deg = np.bincount(np.concatenate([i, j]), minlength=m)
@@ -500,6 +523,8 @@ def _lattice(shape: tuple[int, ...], cyclic: bool, family: str) -> GossipMatrix:
     times the CSR; a build counted at 56 bytes per entry that would not fit
     in physical memory is refused before any axis is built.
     """
+    from scipy import sparse
+
     n = math.prod(shape)
     edges = [m if cyclic and m >= 3 else m - 1 for m in shape]
     entries = n + sum(n // m * 2 * e for m, e in zip(shape, edges))

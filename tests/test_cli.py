@@ -1,6 +1,9 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -453,6 +456,38 @@ def test_matrix_beyond_physical_memory_refused_before_allocating(tmp_path, capsy
         assert f"n = {n} {family}" in err and f"{entries} entries, {need} bytes" in err, err
         assert "physical memory" in err
         assert list(tmp_path.iterdir()) == []
+    # verify reads the factor off the column alone, yet is refused the same matrix
+    out = tmp_path / "v.csv"
+    assert run_cli(["topo-verify", "--family", "complete", "--n", m, "--out", out]) == 2
+    assert f"n = {m} complete" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# imports equitopo and equitopo.cli, then runs commands in order, noting after each
+# step whether scipy.sparse has been imported; only the ring export assembles a CSR
+SPARSE_IMPORT_PROBE = """
+import sys
+loaded = []
+import equitopo
+loaded.append("scipy.sparse" in sys.modules)
+import equitopo.cli
+loaded.append("scipy.sparse" in sys.modules)
+for argv in (["topo-verify", "--family", "ou-equidyn", "--n", "1000", "--trials", "100"],
+             ["dsgt", "--family", "ou-equidyn", "--n", "50", "--m", "49", "--iters", "5"],
+             ["topo-verify", "--family", "d-equistatic", "--n", "200"],
+             ["topo-build", "--family", "ring", "--n", "9"]):
+    assert equitopo.cli.main(argv + ["--out", sys.argv[1] + "/" + argv[0] + ".csv"]) == 0
+    loaded.append("scipy.sparse" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_sparse_imported_only_where_a_csr_is_assembled(tmp_path):
+    src = str(Path(equitopo.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", SPARSE_IMPORT_PROBE, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == str([False] * 5 + [True])
 
 
 def test_export_beyond_physical_memory_refused_before_formatting(tmp_path, capsys,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -434,10 +435,29 @@ def test_one_peer_mix_is_the_csr_product_bit_for_bit(n):
     rows = rng.permutation(n)[:max(3, n // 4)]
     blowup[rows[0::3]], blowup[rows[1::3]], blowup[rows[2::3]] = np.inf, -np.inf, np.nan
     xs = (rng.standard_normal(n), rng.standard_normal((n, 10)), blowup, blowup[:, 0].copy())
-    with np.errstate(invalid="ignore"):   # 0 * inf on idle rows
-        for w in one_peer_sources(n):
-            for x in xs:
-                assert_mix_is_csr_product(w, x)
+    for w in one_peer_sources(n):
+        for x in xs:
+            assert_mix_is_csr_product(w, x)
+
+
+def test_one_peer_mix_warns_of_no_non_finite_entry():
+    """+-inf and NaN on the idle row and on paired rows mix silently, with the non-finite
+    entries of the CSR product."""
+    w = eq.ou_equidyn_node_view(1, 1, 5)   # pairs (0, 1) and (2, 3), node 4 idle
+    assert w.structure.partner.tolist() == [1, 0, 3, 2, 4]
+    xs = []
+    for bad in (np.inf, -np.inf, np.nan):
+        for rows in ([4], [0], [0, 1], [0, 4], [0, 2, 4]):
+            x = np.arange(1.0, 6.0)
+            x[rows] = bad
+            xs += [x, np.column_stack([x, -x, np.ones(5)])]
+    x = np.arange(1.0, 6.0)
+    x[[0, 1, 4]] = np.inf, -np.inf, -np.inf   # inf - inf on a pair
+    xs.append(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in xs:
+            assert_mix_is_csr_product(w, x)
 
 
 def test_static_mix_is_the_csr_product():
@@ -470,6 +490,37 @@ def test_one_peer_draw_mixes_without_its_csr_and_assembles_it_on_read(family):
 def test_matrix_without_csr_must_be_one_peer():
     with pytest.raises(eq.ParameterError, match="one-peer"):
         eq.GossipMatrix(4, None, "custom")
+    torus = eq.build_topology(eq.TopologySpec("torus", 16))   # a circulant over Z_4^2
+    with pytest.raises(eq.ParameterError, match="one-peer or cyclic circulant"):
+        eq.GossipMatrix(16, None, "torus", None, torus.structure)
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 1000])
+def test_circulant_assembles_its_csr_only_on_read(n):
+    """Construction, the factor and symmetrization read the column alone; the first read
+    of `mat` assembles the dense oracle c[(i - j) % n] as sorted, read-only int64 CSR."""
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    for family in ("ring", "static-exp", "complete", "d-equistatic", "u-equistatic"):
+        w = eq.build_topology(spec_for(family, n, seed=n))
+        assert "mat" not in vars(w)
+        eq.consensus_factor(w)
+        assert "mat" not in vars(w)
+        if family == "d-equistatic":
+            u, _ = eq.build_u_equistatic(w)
+            assert "mat" not in vars(w) and "mat" not in vars(u)
+        c = w.structure.column
+        dense = c[(i[:, None] - i) % n]
+        mat = w.mat
+        assert vars(w)["mat"] is mat is w.mat
+        assert mat.toarray().tobytes() == dense.tobytes()
+        assert mat.nnz == n * np.count_nonzero(c)
+        assert mat.indices.dtype == mat.indptr.dtype == np.int64 and mat.has_sorted_indices
+        assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 10))):
+            # both sums add the same count_nonzero(c) products of weights summing to 1
+            tol = 2 * np.count_nonzero(c) * np.finfo(float).eps * np.abs(x).max()
+            np.testing.assert_allclose(w.mix(x), dense @ x, rtol=0, atol=tol)
 
 
 # ---------------------------------------------------------------- baselines
