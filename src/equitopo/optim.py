@@ -7,14 +7,17 @@ adds an auxiliary Y that follows the average gradient:
     X <- W (X - gamma Y),   Y <- W Y + G_new - G_old,   Y0 = G0.
 
 Both synthetic problem generators expose exact gradients, a noisy gradient
-oracle (exact + Gaussian noise), and the global loss.  Every per-iteration
-contraction over the stacked data is a BLAS matrix product, and each logistic
-term costs one `exp` (`_softplus_neg`, `_expit_neg`).
+oracle (exact + Gaussian noise), and the global loss.  Each problem stores its
+features once, per node and feature-major ((n, d, samples), C-contiguous), so
+every per-iteration contraction is a BLAS matrix product along the contiguous
+sample axis.  The stacked kernels work in place on the product's output, and
+each logistic term costs one `exp` (`_softplus_neg`, `_expit_neg`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,48 +31,101 @@ ALGORITHMS = ("dsgd", "dsgt")
 def _softplus_neg(m: np.ndarray) -> np.ndarray:
     """ln(1 + e^{-m}) elementwise, as max(-m, 0) + ln(1 + e^{-|m|}): nothing overflows."""
     with np.errstate(under="ignore"):
-        return np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+        tail = np.abs(m)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        out = np.negative(m)
+        np.maximum(out, 0.0, out=out)
+        out += tail
+        return out
 
 
 def _expit_neg(m: np.ndarray) -> np.ndarray:
     """1 / (1 + e^{m}) elementwise with one exp; for m > 709 it overflows to the exact limit 0."""
     with np.errstate(over="ignore", under="ignore"):
-        return 1.0 / (1.0 + np.exp(m))
+        out = np.exp(m)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
+# standard normal features per generator draw: a 64 kB block, few draws at large n
+_DRAW_BLOCK = 1 << 13
+
+
+def _node_blocks(n: int, samples: int, d: int, rng):
+    """Yield (nodes, block): the (n, samples, d) standard normal draw, a few nodes at a time.
+
+    Each block is a contiguous (nodes, samples, d) draw that continues the
+    stream of one whole-array draw, so the values are the same bits.  A
+    caller transposes each block into its feature-major array and takes any
+    product it needs from the contiguous block first: an einsum over the
+    transposed view rounds differently for d >= 6.
+    """
+    step = max(1, _DRAW_BLOCK // max(samples * d, 1))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        yield slice(start, stop), rng.standard_normal((stop - start, samples, d))
 
 
 class LeastSquaresProblem:
-    """n local costs f_i(x) = (1/2K) ||A_i x - b_i||^2 with known global optimum."""
+    """n local costs f_i(x) = (1/2K) ||A_i x - b_i||^2 with known global optimum.
+
+    The features are stored once, per node and feature-major: `at` is the
+    C-contiguous (n, d, K) array whose node block `at[i]` is A_i^T, so every
+    kernel multiplies along the contiguous sample axis.  `a` is its (n, K, d)
+    transposed view.
+    """
 
     kind = "least-squares"
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, sigma_n: float, sigma_s: float,
+    def __init__(self, at: np.ndarray, b: np.ndarray, sigma_n: float, sigma_s: float,
                  x_gen: np.ndarray):
-        self.a = a                      # (n, K, d)
-        self.b = b                      # (n, K)
-        self.n, self.k_samples, self.d = a.shape
+        self.at = np.ascontiguousarray(at)   # (n, d, K)
+        self.b = b                           # (n, K)
+        self.n, self.d, self.k_samples = self.at.shape
         self.sigma_n = float(sigma_n)
         self.heterogeneity = float(sigma_s)
         self.x_gen = x_gen
-        # global optimum by normal equations: sum_i A_i^T A_i x = sum_i A_i^T b_i
-        h = np.einsum("nkd,nke->de", a, a)
-        rhs = np.einsum("nkd,nk->d", a, b)
-        self.x_star = np.linalg.solve(h, rhs)
+
+    @property
+    def a(self) -> np.ndarray:
+        """The (n, K, d) sample-major view of `at`."""
+        return self.at.transpose(0, 2, 1)
+
+    @cached_property
+    def x_star(self) -> np.ndarray:
+        """Global optimum from the normal equations sum_i A_i^T A_i x = sum_i A_i^T b_i.
+
+        Raises ParameterError when they are singular (for instance n K < d):
+        the optimum is then not unique.
+        """
+        gram = (self.at @ self.a).sum(axis=0)
+        rhs = (self.at @ self.b[:, :, None]).sum(axis=0)[:, 0]
+        if np.linalg.matrix_rank(gram) < self.d:
+            raise ParameterError(
+                f"normal equations are singular (n={self.n}, samples={self.k_samples}, "
+                f"d={self.d}): the least-squares optimum is not unique")
+        return np.linalg.solve(gram, rhs)
 
     def local_loss(self, i: int, x: np.ndarray) -> float:
-        r = self.a[i] @ x - self.b[i]
+        r = x @ self.at[i] - self.b[i]
         return float(r @ r) / (2.0 * self.k_samples)
 
     def loss(self, x: np.ndarray) -> float:
-        r = (self.a @ x - self.b).ravel()
+        r = x @ self.at
+        r -= self.b
+        r = r.ravel()
         return float(r @ r) / (2.0 * r.size)
 
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        r = self.a[i] @ x - self.b[i]
-        return (self.a[i].T @ r) / self.k_samples
+        r = x @ self.at[i] - self.b[i]
+        return (self.at[i] @ r) / self.k_samples
 
     def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
-        r = (self.a @ x_rows[:, :, None])[:, :, 0] - self.b
-        return (r[:, None, :] @ self.a)[:, 0, :] / self.k_samples
+        r = (x_rows[:, None, :] @ self.at)[:, 0, :]
+        r -= self.b
+        return (self.at @ r[:, :, None])[:, :, 0] / self.k_samples
 
     def stoch_grads_all(self, x_rows: np.ndarray, rng) -> np.ndarray:
         g = self.grads_all(x_rows)
@@ -78,36 +134,57 @@ class LeastSquaresProblem:
         return g
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
-        r = self.a @ x - self.b
-        return (r.ravel() @ self.a.reshape(-1, self.d)) / (self.n * self.k_samples)
+        r = x @ self.at
+        r -= self.b
+        return (self.at @ r[:, :, None]).sum(axis=0)[:, 0] / (self.n * self.k_samples)
 
 
 def make_least_squares(n: int, d: int, k_samples: int, sigma_s: float, sigma_n: float,
                        rng) -> LeastSquaresProblem:
-    """Per node: A_i with standard normal entries, b_i = A_i x* + noise(sigma_s)."""
+    """Per node: A_i with standard normal entries, b_i = A_i x* + noise(sigma_s).
+
+    b is taken from each drawn block before it is transposed into `at`
+    (`_node_blocks`), so it keeps the bits of the whole-array product.
+    """
+    if k_samples < 1:
+        raise ParameterError(f"k_samples must be >= 1, got {k_samples}")
     x_gen = rng.standard_normal(d)
-    a = rng.standard_normal((n, k_samples, d))
-    b = np.einsum("nkd,d->nk", a, x_gen)
+    at = np.empty((n, d, k_samples))
+    b = np.empty((n, k_samples))
+    for nodes, block in _node_blocks(n, k_samples, d, rng):
+        b[nodes] = np.einsum("nkd,d->nk", block, x_gen)
+        at[nodes] = block.transpose(0, 2, 1)
     if sigma_s > 0.0:
         b = b + sigma_s * rng.standard_normal((n, k_samples))
-    return LeastSquaresProblem(a, b, sigma_n, sigma_s, x_gen)
+    return LeastSquaresProblem(at, b, sigma_n, sigma_s, x_gen)
 
 
 class LogisticProblem:
-    """Regularized logistic costs f_i(x) = mean_l ln(1 + exp(-y h.x)) + R sum x^2/(1+x^2)."""
+    """Regularized logistic costs f_i(x) = mean_l ln(1 + exp(-y h.x)) + R sum x^2/(1+x^2).
+
+    The features are stored once, per node and feature-major: `ht` is the
+    C-contiguous (n, d, L) array whose node block `ht[i]` holds node i's
+    samples as columns, so every kernel multiplies along the contiguous
+    sample axis.  `h` is its (n, L, d) transposed view.
+    """
 
     kind = "logistic"
 
-    def __init__(self, h: np.ndarray, y: np.ndarray, reg: float, sigma_n: float,
+    def __init__(self, ht: np.ndarray, y: np.ndarray, reg: float, sigma_n: float,
                  sigma_h: float, x_gen: np.ndarray):
-        self.h = h                      # (n, L, d)
-        self.y = y                      # (n, L), labels in {-1, +1}
-        self.n, self.l_samples, self.d = h.shape
+        self.ht = np.ascontiguousarray(ht)   # (n, d, L)
+        self.y = y                           # (n, L), labels in {-1, +1}
+        self.n, self.d, self.l_samples = self.ht.shape
         self.reg = float(reg)
         self.sigma_n = float(sigma_n)
         self.heterogeneity = float(sigma_h)
         self.x_gen = x_gen
-        self.x_star = None              # nonconvex: no closed-form optimum
+        self.x_star = None                   # nonconvex: no closed-form optimum
+
+    @property
+    def h(self) -> np.ndarray:
+        """The (n, L, d) sample-major view of `ht`."""
+        return self.ht.transpose(0, 2, 1)
 
     def _reg_loss(self, x: np.ndarray) -> float:
         return self.reg * float(np.sum(x * x / (1.0 + x * x)))
@@ -116,22 +193,25 @@ class LogisticProblem:
         return 2.0 * self.reg * x / (1.0 + x * x) ** 2
 
     def local_loss(self, i: int, x: np.ndarray) -> float:
-        margin = self.y[i] * (self.h[i] @ x)
+        margin = self.y[i] * (x @ self.ht[i])
         return float(np.mean(_softplus_neg(margin))) + self._reg_loss(x)
 
     def loss(self, x: np.ndarray) -> float:
-        margin = self.y * (self.h @ x)
+        margin = x @ self.ht
+        margin *= self.y
         return float(np.mean(_softplus_neg(margin))) + self._reg_loss(x)
 
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        margin = self.y[i] * (self.h[i] @ x)
+        margin = self.y[i] * (x @ self.ht[i])
         coef = self.y[i] * _expit_neg(margin)
-        return -(self.h[i].T @ coef) / self.l_samples + self._reg_grad(x)
+        return -(self.ht[i] @ coef) / self.l_samples + self._reg_grad(x)
 
     def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
-        margin = self.y * (self.h @ x_rows[:, :, None])[:, :, 0]
-        coef = self.y * _expit_neg(margin)
-        data = -(coef[:, None, :] @ self.h)[:, 0, :] / self.l_samples
+        margin = (x_rows[:, None, :] @ self.ht)[:, 0, :]
+        margin *= self.y
+        coef = _expit_neg(margin)
+        coef *= self.y
+        data = -(self.ht @ coef[:, :, None])[:, :, 0] / self.l_samples
         return data + self._reg_grad(x_rows)
 
     def stoch_grads_all(self, x_rows: np.ndarray, rng) -> np.ndarray:
@@ -141,9 +221,11 @@ class LogisticProblem:
         return g
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
-        margin = self.y * (self.h @ x)
-        coef = self.y * _expit_neg(margin)
-        data = -(coef.ravel() @ self.h.reshape(-1, self.d)) / (self.n * self.l_samples)
+        margin = x @ self.ht
+        margin *= self.y
+        coef = _expit_neg(margin)
+        coef *= self.y
+        data = -(self.ht @ coef[:, :, None]).sum(axis=0)[:, 0] / (self.n * self.l_samples)
         return data + self._reg_grad(x)
 
 
@@ -154,18 +236,23 @@ def make_logistic_ncvx(n: int, d: int, l_samples: int, reg: float, sigma_h: floa
     Each node holds x*_i = x* + v_i with v_i ~ N(0, sigma_h^2 I) and features
     h ~ N(0, I).  Labels follow the rule y = +1 iff z <= 1 + exp(-h . x*_i)
     with z ~ U(0,1); the threshold always exceeds 1, so the rule labels every
-    sample +1.
+    sample +1.  The margins h . x*_i are taken from each drawn block before it
+    is transposed into `ht` (`_node_blocks`).
     """
     if l_samples < 1:
         raise ParameterError(f"l_samples must be >= 1, got {l_samples}")
     x_gen = rng.standard_normal(d)
     x_local = x_gen + sigma_h * rng.standard_normal((n, d))
-    h = rng.standard_normal((n, l_samples, d))
+    ht = np.empty((n, d, l_samples))
+    margin = np.empty((n, l_samples))
+    for nodes, block in _node_blocks(n, l_samples, d, rng):
+        margin[nodes] = np.einsum("nld,nd->nl", block, x_local[nodes])
+        ht[nodes] = block.transpose(0, 2, 1)
     z = rng.uniform(size=(n, l_samples))
     with np.errstate(over="ignore"):
-        threshold = 1.0 + np.exp(-np.einsum("nld,nd->nl", h, x_local))
+        threshold = 1.0 + np.exp(-margin)
     y = np.where(z <= threshold, 1.0, -1.0)
-    return LogisticProblem(h, y, reg, sigma_n, sigma_h, x_gen)
+    return LogisticProblem(ht, y, reg, sigma_n, sigma_h, x_gen)
 
 
 @dataclass

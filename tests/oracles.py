@@ -9,8 +9,9 @@ draws against dense matrices built node by node, the ou partner rule against the
 greedy scan run node by node, sparsity against off-diagonal
 degrees counted on the dense matrix, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
-CSV export against a per-entry formatting loop, and the problem kernels
-against their einsum/logaddexp/expit forms.
+CSV export against a per-entry formatting loop, the problem data against
+one-call (n, samples, d) draws and whole-array einsums, and the problem
+kernels against their einsum/logaddexp/expit forms.
 """
 
 import math
@@ -218,6 +219,29 @@ def uniform_undirected_coo(edges, n):
                            shape=(n, n)).tocsr()
     mat.sort_indices()
     return mat
+
+
+# Problem data drawn in one call, sample-major, with whole-array einsums.
+
+def reference_least_squares(n, d, k_samples, sigma_s, rng):
+    """(x_gen, a, b) with a of shape (n, K, d), as one standard_normal draw."""
+    x_gen = rng.standard_normal(d)
+    a = rng.standard_normal((n, k_samples, d))
+    b = np.einsum("nkd,d->nk", a, x_gen)
+    if sigma_s > 0.0:
+        b = b + sigma_s * rng.standard_normal((n, k_samples))
+    return x_gen, a, b
+
+
+def reference_logistic(n, d, l_samples, sigma_h, rng):
+    """(x_gen, h, y) with h of shape (n, L, d), as one standard_normal draw."""
+    x_gen = rng.standard_normal(d)
+    x_local = x_gen + sigma_h * rng.standard_normal((n, d))
+    h = rng.standard_normal((n, l_samples, d))
+    z = rng.uniform(size=(n, l_samples))
+    with np.errstate(over="ignore"):
+        threshold = 1.0 + np.exp(-np.einsum("nld,nd->nl", h, x_local))
+    return x_gen, h, np.where(z <= threshold, 1.0, -1.0)
 
 
 # Problem kernels in their einsum / logaddexp / expit forms, dispatched on `p.kind`.

@@ -410,6 +410,17 @@ def test_dsgd_divergence_before_first_record(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_dsgd_runs_with_fewer_samples_than_features(seed, tmp_path, capsys):
+    # n * samples < d makes the normal equations singular; no command reads the optimum
+    out = tmp_path / "d.csv"
+    code = run_cli(["dsgd", "--family", "ring", "--n", "2", "--samples", "1", "--d", "5",
+                    "--sigma-s", "0", "--iters", "3", "--seed", seed, "--out", out])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_dsgt_defaults_to_logistic(tmp_path):
     out = tmp_path / "t.csv"
     code = run_cli(["dsgt", "--family", "one-peer-exp", "--n", "8", "--iters", "10",

@@ -14,7 +14,8 @@ import equitopo as eq
 from equitopo.optim import _expit_neg, _softplus_neg
 
 from oracles import (central_difference_gradient, gradient_descent_path, kernel_global_grad,
-                     kernel_grad, kernel_grads_all, kernel_local_loss, kernel_loss)
+                     kernel_grad, kernel_grads_all, kernel_local_loss, kernel_loss,
+                     reference_least_squares, reference_logistic)
 
 
 def identity_matrix(n):
@@ -63,6 +64,56 @@ def test_noiseless_interpolation():
 def test_normal_equations_optimum_is_stationary():
     p = eq.make_least_squares(6, 4, 12, 0.3, 0.0, np.random.default_rng(5))
     assert np.linalg.norm(p.global_grad(p.x_star)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_singular_normal_equations_refuse_the_optimum(seed):
+    # n K = 2 < d = 5: the problem still builds, and its optimum is not unique
+    p = eq.make_least_squares(2, 5, 1, 0.0, 0.1, eq.make_rng(seed, "problem"))
+    with pytest.raises(eq.ParameterError, match="singular"):
+        p.x_star
+
+
+# (n, d, samples): one sample, one feature, d >= 6 (where a transposed einsum
+# rounds differently), two nodes, the c10 size (13 draws, the last of 2 nodes),
+# one node per draw, and draws of 136 nodes
+DATA_SHAPES = [(1, 1, 1), (2, 5, 1), (3, 1, 7), (2, 6, 9), (4, 13, 3), (5, 8, 30),
+               (50, 10, 200), (7, 6, 700), (300, 3, 20)]
+
+
+@pytest.mark.parametrize("n, d, samples", DATA_SHAPES)
+@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5])
+def test_generators_draw_the_reference_data_bit_for_bit(n, d, samples, seed):
+    for sigma_s in (0.0, 0.3):
+        p = eq.make_least_squares(n, d, samples, sigma_s, 0.1, np.random.default_rng(seed))
+        x_gen, a, b = reference_least_squares(n, d, samples, sigma_s,
+                                              np.random.default_rng(seed))
+        for got, want in ((p.x_gen, x_gen), (p.a, a), (p.b, b)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    p = eq.make_logistic_ncvx(n, d, samples, 0.01, 0.2, 0.1, np.random.default_rng(seed))
+    x_gen, h, y = reference_logistic(n, d, samples, 0.2, np.random.default_rng(seed))
+    for got, want in ((p.x_gen, x_gen), (p.h, h), (p.y, y)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["least-squares", "logistic"])
+def test_problem_stores_one_feature_major_copy(kind):
+    n, d, samples = 5, 4, 30
+    rng = np.random.default_rng(11)
+    if kind == "least-squares":
+        p = eq.make_least_squares(n, d, samples, 0.1, 0.1, rng)
+        name, view = "at", p.a
+        p.x_star   # cached on first read: it must not bring a second copy along
+    else:
+        p = eq.make_logistic_ncvx(n, d, samples, 0.01, 0.2, 0.1, rng)
+        name, view = "ht", p.h
+    stored = vars(p)[name]
+    assert stored.shape == (n, d, samples) and stored.flags.c_contiguous
+    assert view.shape == (n, samples, d) and np.shares_memory(view, stored)
+    others = {key: v for key, v in vars(p).items() if isinstance(v, np.ndarray) and key != name}
+    assert others and all(v.size < stored.size for v in others.values())
 
 
 def test_stochastic_gradient_noise_is_zero_mean(ls_problem):
@@ -174,6 +225,16 @@ def test_kernels_match_einsum_forms_beyond_exp_range(scale):
     margin = p.y * (p.h @ x_rows[:, :, None])[:, :, 0]
     assert (margin > 745).any() and (margin < -745).any()
     check_kernels_match_einsum_forms(p, x_rows)
+
+
+@pytest.mark.parametrize("kind", ["least-squares", "logistic"])
+@pytest.mark.parametrize("seed", range(10))
+def test_kernels_match_einsum_forms_at_paper_scale(kind, seed):
+    # n 50, 200 samples, d 10: the global sums run over 10^4 terms
+    rng = np.random.default_rng(seed)
+    p = random_problem(kind, 50, 200, 10, rng)
+    for scale in (1e-3, 1.0, 30.0, 1e3, 1e5):
+        check_kernels_match_einsum_forms(p, scale * rng.standard_normal((50, 10)))
 
 
 def test_logistic_helpers_give_exact_limits():
@@ -326,7 +387,9 @@ def test_run_rejects_unknown_algorithm(ls_problem):
                             np.random.default_rng(0)), "gamma"),
     (lambda p: eq.make_logistic_ncvx(8, 5, 0, 0.001, 0.2, 0.1, np.random.default_rng(1)),
      "l_samples"),
-], ids=["run-zero-iters", "dsgd-negative-gamma", "logistic-zero-samples"])
+    (lambda p: eq.make_least_squares(8, 5, 0, 0.1, 0.1, np.random.default_rng(1)), "k_samples"),
+], ids=["run-zero-iters", "dsgd-negative-gamma", "logistic-zero-samples",
+        "least-squares-zero-samples"])
 def test_parameter_errors(call, match, ls_problem):
     with pytest.raises(eq.ParameterError, match=match):
         call(ls_problem)
