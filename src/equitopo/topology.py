@@ -11,17 +11,19 @@ matrix as the `structure` that `spectral.consensus_factor` reads:
   to itself (a `OnePeer`): every basis matrix and every draw of the one-peer
   samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and one-peer
   exponential.  Such a matrix mixes as a gather, `GossipMatrix.mix` computing
-  diag x + off x[partner], and its CSR is slotted only when `mat` is read
-  (an export, `toarray`);
+  diag x + off x[partner], and its CSR is slotted only when `csr` is read
+  (an export, or `mat`: `toarray`);
 * per-axis Laplacians of paths or cycles, whose Kronecker sum L gives
   I - L / (max degree + 1) (`_lattice`): grid (a `Grid`), torus and
   hypercube (a `Circulant` over Z_m^2 or Z_2^d).
 
 A cyclic circulant is built from its column alone, like a one-peer matrix,
-and its CSR is assembled on the first read of `mat` (a mix, an export,
-`toarray`); `consensus_factor` needs only the column.  The lattices are built
-straight into CSR by `_lattice`.  Both mix as CSR products, so `scipy.sparse`
-is imported only where a CSR is assembled.  Node labels and matrix storage (CSR)
+and its sorted CSR arrays are assembled on the first read of `csr` (an
+export, or the first read of `mat`: a mix, `toarray`); `consensus_factor`
+needs only the column.  The lattices are built straight into CSR by
+`_lattice`.  The export reads only `csr`, so `scipy.sparse` is imported only
+where a lattice is built or a CSR product is formed (`mat`): a circulant's
+mix, `toarray`.  Node labels and matrix storage (CSR)
 are 0-based; only the start s of an "ou" matching counts from 1.  A matrix is
 the sampler that always draws itself (`GossipMatrix.sample`), so a step loop
 draws `topology.sample()` and mixes with `mix` whether the topology is static
@@ -94,13 +96,23 @@ class Grid(NamedTuple):
     weight: float
 
 
+class CSR(NamedTuple):
+    """The sorted CSR arrays of a matrix: row i stores data[indptr[i]:indptr[i + 1]] at
+    columns indices[indptr[i]:indptr[i + 1]], in ascending order."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
 class GossipMatrix:
     """Immutable sparse doubly-stochastic n x n mixing matrix with provenance tags.
 
     A one-peer matrix is built from its `OnePeer` alone and a cyclic
-    circulant from its 1-D `Circulant` alone (`mat` None); the CSR of either
-    is assembled on the first read of `mat`.  A lattice is handed its CSR.
-    `mix` gathers from a one-peer partner array and multiplies by any other
+    circulant from its 1-D `Circulant` alone (`mat` None); the sorted CSR
+    arrays of either are assembled on the first read of `csr`, and its scipy
+    CSR on the first read of `mat`.  A lattice is handed its CSR.  `mix`
+    gathers from a one-peer partner array and multiplies by any other
     matrix's CSR.
     """
 
@@ -113,7 +125,8 @@ class GossipMatrix:
                                  "without its CSR")
         vars(self).update(n=n, family=family, basis_index=basis_index, structure=structure)
         if mat is not None:
-            vars(self)["mat"] = _frozen(mat)
+            _frozen(mat.data, mat.indices, mat.indptr)
+            vars(self)["mat"] = mat
         if isinstance(structure, Circulant):   # not a draw's arrays: no per-draw work
             structure.column.flags.writeable = False
 
@@ -121,8 +134,9 @@ class GossipMatrix:
         raise AttributeError(f"GossipMatrix is immutable; cannot set {name!r}")
 
     @functools.cached_property
-    def mat(self) -> sparse.csr_array:
-        """The sorted CSR of a cyclic circulant or a one-peer matrix, assembled on first read.
+    def csr(self) -> CSR:
+        """The read-only sorted CSR arrays, assembled on first read; a handed CSR gives its
+        own, or a sorted copy of them.
 
         A circulant's row i stores the support S of its column c at columns
         (i - u) % n.  Walking S from the largest shift down gives ascending
@@ -131,8 +145,9 @@ class GossipMatrix:
         next share one rotation.  A one-peer row stores its diagonal and, when
         paired, its partner's weight; an idle row stores its diagonal only.
         """
-        from scipy import sparse
-
+        if "mat" in vars(self):   # a handed CSR
+            mat = self.mat if self.mat.has_sorted_indices else self.mat.sorted_indices()
+            return CSR(*_frozen(mat.data, mat.indices, mat.indptr))
         n, s = self.n, self.structure
         if isinstance(s, Circulant):
             c = s.column
@@ -156,7 +171,16 @@ class GossipMatrix:
             indices[slot], data[slot] = i, diag
             slot = indptr[:-1][paired] + (src > i)[paired]
             indices[slot], data[slot] = src[paired], np.broadcast_to(off, n)[paired]
-        return _frozen(sparse.csr_array((data, indices, indptr), shape=(n, n)))
+        return CSR(*_frozen(data, indices, indptr))
+
+    @functools.cached_property
+    def mat(self) -> sparse.csr_array:
+        """The scipy CSR of a cyclic circulant or a one-peer matrix, built on first read (a
+        product, `toarray`) around the three arrays of `csr`, with no copy.  The export reads
+        `csr` alone, so for these matrices only this read imports `scipy.sparse`."""
+        from scipy import sparse
+
+        return sparse.csr_array(self.csr, shape=(self.n, self.n))
 
     def mix(self, x: np.ndarray) -> np.ndarray:
         """W @ x for x of shape (n,) or (n, d).
@@ -185,10 +209,10 @@ class GossipMatrix:
         return self
 
 
-def _frozen(mat: sparse.csr_array) -> sparse.csr_array:
-    for arr in (mat.data, mat.indices, mat.indptr):
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
         arr.flags.writeable = False
-    return mat
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -285,8 +309,8 @@ def basis_matrix(u: int, n: int) -> GossipMatrix:
 
 
 def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
-    """Circulant matrix W[i, j] = c[(i - j) % n], its sorted CSR assembled on the first
-    read of `mat`.
+    """Circulant matrix W[i, j] = c[(i - j) % n], its sorted CSR arrays assembled on the
+    first read of `csr`.
 
     A matrix whose CSR (8-byte data and indices) would not fit in physical
     memory is refused here, before anything is allocated.
@@ -511,6 +535,20 @@ def _axis_laplacian(m: int, edges: int) -> sparse.csr_array:
                             shape=(m, m)).tocsr()
 
 
+def _kronsum(laps: list) -> sparse.csr_array:
+    """The Kronecker sum of the Laplacians `laps`, the last varying fastest, folded as a
+    balanced tree: the fast half's sum with the slow half's.  Folding one axis at a time,
+    scipy's `kron` broadcasts over blocks of a 2-node axis's 2-4 entries, which numpy runs
+    far slower per entry: the hypercube at 2^20 took 2.9-3.5 s to build that way and takes
+    1.2-1.6 s (2 vCPU)."""
+    from scipy import sparse
+
+    if len(laps) == 1:
+        return laps[0]
+    half = len(laps) // 2
+    return sparse.kronsum(_kronsum(laps[half:]), _kronsum(laps[:half]))
+
+
 def _lattice(shape: tuple[int, ...], cyclic: bool, family: str) -> GossipMatrix:
     """I - weight L on the nodes np.unravel_index(i, shape), weight = 1/(max degree + 1).
 
@@ -519,9 +557,9 @@ def _lattice(shape: tuple[int, ...], cyclic: bool, family: str) -> GossipMatrix:
     3 nodes or more; the diagonal absorbs the remainder.  The torus and the
     hypercube are group circulants whose column is column 0; the grid is a
     `Grid`.  A build's peak RSS came to 48 bytes per stored entry (grid and
-    torus at n = 4e6, hypercube at 2^20) and 50 (hypercube at 2^21), 2.7-3.1
-    times the CSR; a build counted at 56 bytes per entry that would not fit
-    in physical memory is refused before any axis is built.
+    torus at n = 4e6) and 42 (hypercube at 2^20 and 2^21), 2.6-2.7 times the
+    CSR; a build counted at 56 bytes per entry that would not fit in physical
+    memory is refused before any axis is built.
     """
     from scipy import sparse
 
@@ -530,12 +568,12 @@ def _lattice(shape: tuple[int, ...], cyclic: bool, family: str) -> GossipMatrix:
     entries = n + sum(n // m * 2 * e for m, e in zip(shape, edges))
     _check_memory(n, entries, 56 * entries, family, "at the build's peak")
     weight = 1.0 / (sum(min(e, 2) for e in edges) + 1.0)
-    lap = functools.reduce(lambda slow, fast: sparse.kronsum(fast, slow),
-                           map(_axis_laplacian, shape, edges))
+    lap = _kronsum(list(map(_axis_laplacian, shape, edges)))
     lap.data *= -weight
     lap.setdiag(lap.diagonal() + 1.0)   # I - weight L
     mat = sparse.csr_array((lap.data, lap.indices.astype(np.int64), lap.indptr.astype(np.int64)),
                            shape=(n, n))
+    mat.sort_indices()   # the export reads the arrays in row, then column order
     structure = Circulant(mat[:, 0].toarray().reshape(shape)) if cyclic else Grid(shape[0], weight)
     return GossipMatrix(n, mat, family, None, structure)
 
@@ -594,7 +632,8 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
 def matrix_csv_text(w: GossipMatrix) -> str:
     """Sparse triplet export: header `row,col,weight`, 0-based, full precision.
 
-    Lines follow the CSR in row, then column order.  Each line is read from
+    Lines follow the sorted CSR arrays `w.csr` in row, then column order, so
+    no scipy CSR is built.  Each line is read from
     three byte tables formatted once: the row labels "i,", the column labels
     "j", and one cell ",repr(x)\n" per distinct weight, told apart by its bits
     so that -0.0 and 0.0 keep their own text.  A table is NUL-padded to its
@@ -605,31 +644,31 @@ def matrix_csv_text(w: GossipMatrix) -> str:
     CELL_BYTES, would not fit in physical memory is refused before the distinct
     weights are sorted or any line is formatted.
     """
+    data, indices, indptr = w.csr
+    nnz = data.size
     cols = np.arange(w.n).astype(f"S{len(str(w.n - 1))}")
     rows = np.char.add(cols, b",")
-    csr = w.mat.data.nbytes + w.mat.indices.nbytes + w.mat.indptr.nbytes
-    need = csr + 2 * w.mat.nnz * (rows.itemsize + cols.itemsize + CELL_BYTES)
+    csr = data.nbytes + indices.nbytes + indptr.nbytes
+    need = csr + 2 * nnz * (rows.itemsize + cols.itemsize + CELL_BYTES)
     have = _physical_memory()
     if need > have:
         raise ParameterError(f"exporting an n = {w.n} {w.family} matrix needs {need} bytes "
-                             f"({csr} of CSR and twice its {w.mat.nnz} padded lines), more "
+                             f"({csr} of CSR and twice its {nnz} padded lines), more "
                              f"than the {have} bytes of physical memory")
-    mat = w.mat if w.mat.has_sorted_indices else w.mat.sorted_indices()
-    bits = mat.data.astype(np.float64, copy=False).view(np.int64)
+    bits = data.astype(np.float64, copy=False).view(np.int64)
     distinct = np.unique(bits)
     cells = np.array([("," + repr(x) + "\n").encode() for x in distinct.view(np.float64).tolist()],
                      dtype=bytes)
-    block = np.empty(min(mat.nnz, CSV_BLOCK), [("row", rows.dtype), ("col", cols.dtype),
-                                               ("weight", cells.dtype)])
-    indptr = mat.indptr
+    block = np.empty(min(nnz, CSV_BLOCK), [("row", rows.dtype), ("col", cols.dtype),
+                                           ("weight", cells.dtype)])
     parts = ["row,col,weight\n"]
-    for lo in range(0, mat.nnz, CSV_BLOCK):
-        hi = min(lo + CSV_BLOCK, mat.nnz)
+    for lo in range(0, nnz, CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, nnz)
         lines = block[:hi - lo]
         first, last = np.searchsorted(indptr, (lo, hi - 1), side="right") - 1
         lines["row"] = rows[np.repeat(np.arange(first, last + 1),
                                       np.diff(np.clip(indptr[first:last + 2], lo, hi)))]
-        lines["col"] = cols[mat.indices[lo:hi]]
+        lines["col"] = cols[indices[lo:hi]]
         lines["weight"] = cells[np.searchsorted(distinct, bits[lo:hi])]
         parts.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)

@@ -9,6 +9,7 @@ draws against dense matrices built node by node, the ou partner rule against the
 greedy scan run node by node, sparsity against off-diagonal
 degrees counted on the dense matrix, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
+hypercube also against the Kronecker sum folded one axis at a time, the
 CSV export against a per-entry formatting loop, the problem data against
 one-call (n, samples, d) draws and whole-array einsums, and the problem
 kernels against their einsum/logaddexp/expit forms.
@@ -198,6 +199,18 @@ def hypercube_edge_set(n):
     """Undirected edges (i, i ^ 2^bit), i < i ^ 2^bit, of the log2(n)-cube, as a set."""
     k = n.bit_length() - 1
     return {(i, i ^ (1 << bit)) for i in range(n) for bit in range(k) if i < i ^ (1 << bit)}
+
+
+def hypercube_by_axis_fold(d):
+    """I - L / (d + 1) for the Laplacian L of the d-cube, folded one axis at a time from
+    the one-edge Laplacian of each 2-node axis (the last axis varying fastest), as CSR."""
+    axis = sparse.csr_array(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    lap = axis
+    for _ in range(d - 1):
+        lap = sparse.kronsum(axis, lap)
+    lap.data *= -(1.0 / (d + 1.0))
+    lap.setdiag(lap.diagonal() + 1.0)
+    return lap
 
 
 def uniform_undirected_coo(edges, n):

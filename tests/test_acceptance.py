@@ -11,7 +11,7 @@ import numpy as np
 
 import equitopo as eq
 from equitopo.cli import main as cli_main
-from equitopo.topology import FAMILIES
+from equitopo.topology import FAMILIES, _lazy_one_peer
 
 from oracles import (central_difference_gradient, dense_consensus_factor,
                      gradient_descent_path, matched_node_count)
@@ -76,6 +76,42 @@ def test_c03_one_peer_contraction_bounds():
     report(3, "one-peer samplers meet 1/2 and 2/3 contraction bounds",
            ok_od and ok_ou and elapsed < 30.0, elapsed,
            f"od {est_od.value:.4f}, ou {est_ou.value:.4f}")
+
+
+def test_od_equidyn_expected_contraction_is_exact_at_the_complete_basis():
+    """At m = n - 1 the od-equidyn basis is every shift v = 1..n-1 once, and the draw of v
+    is the circulant of a = 1 - eta + eta/n at 0 and b = eta (1 - 1/n) at v.  Its squared
+    eigenvalue at frequency k is |a + b e^(-2 pi i v k / n)|^2, whose mean over v is
+    a^2 + b^2 - 2ab/(n - 1) at every k != 0, since the v-sum of the cosines is -1:
+    1/2 - 1/(2n) at eta = 1/2.
+
+    Rounding: each FFT output is within f = 8 eps log2(4n) sqrt(n) ||c||_2 of exact (the
+    bound `consensus_factor` states), so each squared modulus, at most 1, is within 3f;
+    the mean over n - 1 of them and the closed form add at most (n + 8) eps.
+    """
+    eps = np.finfo(float).eps
+
+    def closed(eta, n):
+        a, b = 1.0 - eta + eta / n, eta * (1.0 - 1.0 / n)
+        return a * a + b * b - 2.0 * a * b / (n - 1)
+
+    sizes = (2, 3, 7, 30, 64, 101)
+    for eta in (0.3, 0.5, 0.9):
+        for n in sizes:
+            sampler = eq.build_topology(eq.TopologySpec("od-equidyn", n, m=n - 1, eta=eta))
+            assert sampler.basis_index.values == tuple(range(1, n))
+            power, norm = np.zeros(n), 0.0
+            for v in range(1, n):
+                draw = _lazy_one_peer((np.arange(n) - v) % n, eta, "od-equidyn", (v,))
+                c = draw.structure.column
+                power += np.abs(np.fft.fft(c)) ** 2
+                norm = max(norm, float(np.linalg.norm(c)))
+            mean = power[1:] / (n - 1)
+            tol = 24 * eps * math.log2(4 * n) * math.sqrt(n) * norm + (n + 8) * eps
+            assert np.abs(mean - closed(eta, n)).max() <= tol, (eta, n)
+            for wrong in (eta - 1e-3, eta + 1e-3):   # eta off by 1e-3 is told apart
+                assert np.abs(mean - closed(wrong, n)).min() > tol, (wrong, n)
+    assert all(abs(closed(0.5, n) - (0.5 - 0.5 / n)) <= 4 * eps for n in sizes)
 
 
 def test_c04_matching_property_suite():

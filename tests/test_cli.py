@@ -475,7 +475,8 @@ def test_matrix_beyond_physical_memory_refused_before_allocating(tmp_path, capsy
 
 
 # imports equitopo and equitopo.cli, then runs commands in order, noting after each
-# step whether scipy.sparse has been imported; only the ring export assembles a CSR
+# step whether scipy.sparse has been imported: the exports read their own CSR arrays,
+# so only the grid build, the last step, loads it
 SPARSE_IMPORT_PROBE = """
 import sys
 loaded = []
@@ -483,22 +484,40 @@ import equitopo
 loaded.append("scipy.sparse" in sys.modules)
 import equitopo.cli
 loaded.append("scipy.sparse" in sys.modules)
-for argv in (["topo-verify", "--family", "ou-equidyn", "--n", "1000", "--trials", "100"],
-             ["dsgt", "--family", "ou-equidyn", "--n", "50", "--m", "49", "--iters", "5"],
-             ["topo-verify", "--family", "d-equistatic", "--n", "200"],
-             ["topo-build", "--family", "ring", "--n", "9"]):
-    assert equitopo.cli.main(argv + ["--out", sys.argv[1] + "/" + argv[0] + ".csv"]) == 0
+builds = [["topo-build", "--family", family, "--n", "30"]
+          for family in ("ring", "static-exp", "complete", "d-equistatic", "u-equistatic",
+                         "od-equidyn", "ou-equidyn", "ou-equidyn-euclid", "one-peer-exp")]
+for k, argv in enumerate(
+        [["topo-verify", "--family", "ou-equidyn", "--n", "1000", "--trials", "100"],
+         ["dsgt", "--family", "ou-equidyn", "--n", "50", "--m", "49", "--iters", "5"],
+         ["topo-verify", "--family", "d-equistatic", "--n", "200"]] + builds +
+        [["topo-build", "--family", "grid", "--n", "9"]]):
+    assert equitopo.cli.main(argv + ["--out", f"{sys.argv[1]}/{k}.csv"]) == 0
     loaded.append("scipy.sparse" in sys.modules)
 print(loaded)
 """
 
 
-def test_scipy_sparse_imported_only_where_a_csr_is_assembled(tmp_path):
+def _probe(code: str, tmp_path) -> str:
+    """The last line `code` prints, run in a fresh interpreter with tmp_path as argv[1]."""
     src = str(Path(equitopo.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", SPARSE_IMPORT_PROBE, str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.splitlines()[-1] == str([False] * 5 + [True])
+    return out.stdout.splitlines()[-1]
+
+
+def test_scipy_sparse_imported_only_where_a_csr_is_assembled(tmp_path):
+    assert _probe(SPARSE_IMPORT_PROBE, tmp_path) == str([False] * 14 + [True])
+
+
+def test_ring_consensus_loads_scipy_sparse(tmp_path):
+    """A static family's step loop mixes as a CSR product, which imports scipy.sparse."""
+    code = ("import sys, equitopo.cli\n"
+            "argv = ['consensus', '--family', 'ring', '--n', '9', '--iters', '3']\n"
+            "assert equitopo.cli.main(argv + ['--out', sys.argv[1] + '/c.csv']) == 0\n"
+            "print('scipy.sparse' in sys.modules)")
+    assert _probe(code, tmp_path) == "True"
 
 
 def test_export_beyond_physical_memory_refused_before_formatting(tmp_path, capsys,

@@ -15,8 +15,9 @@ from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES
                                _ou_partners)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
-                     hypercube_edge_set, lattice_edge_set, matched_node_count, matrix_csv_loop,
-                     max_off_diagonal_degree, ou_scan_partners, uniform_undirected_coo)
+                     hypercube_by_axis_fold, hypercube_edge_set, lattice_edge_set,
+                     matched_node_count, matrix_csv_loop, max_off_diagonal_degree,
+                     ou_scan_partners, uniform_undirected_coo)
 
 
 def spec_for(family, n, **kw):
@@ -487,6 +488,24 @@ def test_one_peer_draw_mixes_without_its_csr_and_assembles_it_on_read(family):
         assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
 
 
+def test_csr_arrays_are_read_only_sorted_and_shared_by_mat():
+    """`csr` is assembled without `mat`; `mat` then wraps the same three arrays, no copy."""
+    ou = eq.build_topology(spec_for("ou-equidyn", 30, eta=0.3, seed=1)).sample()
+    for w in (eq.build_topology(spec_for("d-equistatic", 30, seed=1)),
+              eq.build_topology(eq.TopologySpec("ring", 30)), ou,
+              eq.build_topology(eq.TopologySpec("grid", 36))):
+        lazy = w.family != "grid"
+        csr = w.csr
+        assert csr is w.csr and ("mat" in vars(w)) is not lazy, w.family
+        assert not any(a.flags.writeable for a in csr)
+        assert csr.indices.dtype == csr.indptr.dtype == np.int64
+        rows = np.repeat(np.arange(w.n), np.diff(csr.indptr))
+        assert np.all((np.diff(csr.indices) > 0) | (np.diff(rows) > 0))   # ascending per row
+        mat = w.mat
+        assert all(np.shares_memory(a, b) for a, b in zip(csr, (mat.data, mat.indices,
+                                                                mat.indptr))), w.family
+
+
 def test_matrix_without_csr_must_be_one_peer():
     with pytest.raises(eq.ParameterError, match="one-peer"):
         eq.GossipMatrix(4, None, "custom")
@@ -581,6 +600,16 @@ def test_hypercube_matches_edge_set_assembly():
         w = eq.build_topology(eq.TopologySpec("hypercube", 2**k))
         assert_same_csr(w.mat, uniform_undirected_coo(hypercube_edge_set(2**k), 2**k))
         assert w.mat.has_canonical_format
+
+
+def test_hypercube_is_the_axis_by_axis_fold_bit_for_bit():
+    """The balanced fold sums the same integer Laplacian entries as one axis at a time."""
+    for d in range(1, 11):
+        w = eq.build_topology(eq.TopologySpec("hypercube", 2**d))
+        ref = hypercube_by_axis_fold(d)
+        assert w.mat.data.tobytes() == ref.data.tobytes(), d
+        assert np.array_equal(w.mat.indices, ref.indices), d
+        assert np.array_equal(w.mat.indptr, ref.indptr), d
 
 
 @pytest.mark.parametrize("family, n", [("grid", 10**4), ("torus", 10**4), ("hypercube", 2**13)])
@@ -724,6 +753,8 @@ def test_matrix_csv_matches_loop_export_for_distinct_and_long_weights():
     assert not unsorted.has_sorted_indices
     w = eq.GossipMatrix(6, unsorted, "custom")
     assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+    assert np.array_equal(w.csr.indices, mat.indices)   # a sorted copy; the handed CSR stays
+    assert not np.shares_memory(w.csr.indices, unsorted.indices)
 
 
 @pytest.mark.parametrize("family", ("d-equistatic", "ring", "complete"))
