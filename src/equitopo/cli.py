@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 construction failure, 4 divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -37,7 +38,7 @@ OUT_DIR_ENV = "EQUITOPO_OUT_DIR"
 # sidecars carry measured values on top of the config echo; these keys, and the
 # `tol` and `converged` of older sidecars, are skipped when one is read back
 OUTPUT_ONLY_KEYS = {"rho_measured", "rho_target", "basis_index", "method", "rho_tolerance",
-                    "converged", "tol", "slopes", "diverged_trials"}
+                    "converged", "tol", "slopes", "diverged_trials", "diverged_at"}
 
 
 class UsageError(Exception):
@@ -135,7 +136,9 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` leaves it as it was."""
     parser = argparse.ArgumentParser(prog="topo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
@@ -305,7 +308,8 @@ def _cmd_optim(config: ExperimentConfig) -> int:
                 config.iters, config.trials, master_seed=config.seed)
     path = _out_path(config)
     _write(config, path, trace.csv_text(),
-           {"diverged_trials": trace.diverged_trials or None})
+           {"diverged_trials": trace.diverged_trials or None,
+            "diverged_at": trace.diverged_at or None})
     last = trace.records[0]
     final = (f"final grad_norm_sq={float(last['grad_norm_sq'][-1])!r} final loss="
              f"{float(last['loss'][-1])!r}" if last["loss"].size else "no finite record")

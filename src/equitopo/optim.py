@@ -327,6 +327,13 @@ class OptTrace:
     def diverged(self) -> bool:
         return len(self.diverged_trials) > 0
 
+    @property
+    def diverged_at(self) -> tuple[str, ...]:
+        """`trial:iteration` per diverged trial, the iteration of its first non-finite
+        record: a trial's records stop just before it."""
+        return tuple(f"{trial}:{self.records[trial]['loss'].size}"
+                     for trial in self.diverged_trials)
+
     def csv_text(self) -> str:
         lines = ["algo,family,n,trial,iter,grad_norm_sq,loss,consensus_residual"]
         for trial, rec in enumerate(self.records):

@@ -371,6 +371,7 @@ def test_run_truncates_and_flags_divergence():
     assert trace.diverged_trials == (0,)
     rec = trace.records[0]
     assert len(rec["grad_norm_sq"]) < 301
+    assert trace.diverged_at == (f"0:{len(rec['grad_norm_sq'])}",)
     assert np.isfinite(rec["grad_norm_sq"]).all()
 
 

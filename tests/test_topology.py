@@ -125,6 +125,27 @@ def test_build_d_equistatic_m_override_and_failure():
     assert err.value.best_factor > 0.05
 
 
+def test_first_draw_factor_is_size_independent():
+    """The paper's rate independent of n, for the static family, checked exactly.
+
+    At the default M for rho = p = 0.5, the median factor of seeded first
+    draws moves less over n = 10^3..10^5 than the factor varies between draws
+    at n = 10^3: each median lies inside that size's interquartile range
+    [0.2546, 0.2900].  The medians read 0.269, 0.277 and 0.285.
+    """
+    factors = {}
+    for n, seeds in ((10**3, 200), (10**4, 200), (10**5, 40)):
+        m = eq.default_basis_count(n, 0.5, 0.5)
+        # rho near 1 accepts the first draw of M shifts, the one rho = 0.5 judges first
+        factors[n] = [eq.consensus_factor(eq.build_topology(
+            eq.TopologySpec("d-equistatic", n, rho=0.999, m=m, seed=seed))).value
+            for seed in range(seeds)]
+    q1, q3 = np.percentile(factors[10**3], [25, 75])
+    medians = [np.median(f) for f in factors.values()]
+    assert all(q1 <= median <= q3 for median in medians), medians
+    assert max(medians) <= 0.5
+
+
 def test_build_d_equistatic_deterministic():
     spec = eq.TopologySpec("d-equistatic", 40, rho=0.6, seed=123)
     w1, b1 = eq.build_d_equistatic(spec)
@@ -843,6 +864,23 @@ def test_refused_export_allocates_little(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_accepted_export_stays_within_its_memory_model():
+    """The traced peak of a CSR read and its export stays within what the
+    preflight counts: the CSR and twice the padded lines.  The sorted copy of
+    the bits and the block array are gone before the join."""
+    w = eq.build_topology(eq.TopologySpec("d-equistatic", 2000, rho=0.5, seed=1))
+    tracemalloc.start()
+    try:
+        data, indices, indptr = w.csr
+        eq.matrix_csv_text(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    label = len(str(w.n - 1))
+    csr = data.nbytes + indices.nbytes + indptr.nbytes
+    assert peak <= csr + 2 * data.size * ((label + 1) + label + CELL_BYTES)
 
 
 def test_static_matrix_draws_itself():
