@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage error, 3 construction failure, 4 divergence.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -136,9 +135,7 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: `parse_args` leaves it as it was."""
     parser = argparse.ArgumentParser(prog="topo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
