@@ -135,12 +135,17 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command name gets a subparser, so `topo --help` and an unknown
+    command's error list them all; only `command`'s gets its flags, the one
+    argparse reads."""
     parser = argparse.ArgumentParser(prog="topo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS + tuple(ALIASES):
         p = sub.add_parser(name)
+        if name != command:
+            continue
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output CSV path")
         for key in _COMMON_FLAGS + _COMMANDS[ALIASES.get(name, name)].flags:
@@ -149,11 +154,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> ExperimentConfig:
-    """Resolve flags over config-file values into a validated ExperimentConfig."""
-    parser = _build_parser()
+    """Resolve flags over config-file values into a validated ExperimentConfig.
+
+    A `--help` prints its text and raises argparse's SystemExit(0).
+    """
+    parser = _build_parser(argv[0] if argv else None)
     try:
         namespace = parser.parse_args(argv)
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:
+            raise
         raise UsageError("invalid arguments")
     if namespace.command is None:
         raise UsageError(f"missing command; expected one of {COMMANDS}")
@@ -348,6 +358,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv if argv is not None else sys.argv[1:])
         return _COMMANDS[config.command].run(config)
+    except SystemExit as exc:   # a --help, its text printed
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from .seeds import make_rng
 from .topology import Circulant, DynSampler, GossipMatrix, Grid, OnePeer
 
 EPS = float(np.finfo(float).eps)
+TRIAL_BLOCK_BYTES = 1 << 16   # trial vectors drawn per `standard_normal` call, in bytes
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class ConsensusEstimate:
     iterations_or_trials: int
     tolerance_or_stderr: float
     converged = True   # every method runs to its end; trace tools read this
-
-
-def _center(x: np.ndarray) -> np.ndarray:
-    return x - x.mean()
 
 
 def _circulant_factor(c: np.ndarray) -> ConsensusEstimate:
@@ -92,23 +89,36 @@ def empirical_contraction(topology: GossipMatrix | DynSampler, trials: int,
     """Mean squared one-step contraction over random mean-zero unit vectors.
 
     Each trial draws `topology.sample()`: a fresh matrix from a dynamic
-    sampler, the matrix itself from a static one.
+    sampler, the matrix itself from a static one.  The trial vectors come
+    from `rng` in blocks of TRIAL_BLOCK_BYTES (at least one row), each block
+    sized to the trials still to run: the same stream as one
+    `standard_normal(n)` per trial, so a vector whose centred norm is below
+    1e-12 is replaced by the next one drawn and `rng` ends where a draw per
+    trial would leave it.  A block is centred in place by its row sums / n,
+    a mixed vector by its sum / n, and a norm is `sqrt(x @ x)`: the bits of
+    `x - x.mean()` and `np.linalg.norm`.  `rng` must not be the sampler's
+    own generator, whose draws would then fall between the blocks'.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
     if rng is None:
         rng = make_rng(seed, "contraction")
     n = topology.n
+    rows = max(1, TRIAL_BLOCK_BYTES // (8 * n))
     ratios = np.empty(trials)
-    for k in range(trials):
-        x = _center(rng.standard_normal(n))
-        norm_x = np.linalg.norm(x)
-        while norm_x < 1e-12:
-            x = _center(rng.standard_normal(n))
-            norm_x = np.linalg.norm(x)
-        x /= norm_x
-        y = _center(topology.sample().mix(x))
-        ratios[k] = y @ y
+    k = 0
+    while k < trials:
+        block = rng.standard_normal((min(rows, trials - k), n))
+        block -= block.sum(axis=1, keepdims=True) / n
+        for x in block:
+            norm_x = math.sqrt(x @ x)
+            if norm_x < 1e-12:   # the next vector drawn replaces it
+                continue
+            x /= norm_x
+            y = topology.sample().mix(x)
+            y -= y.sum() / n
+            ratios[k] = y @ y
+            k += 1
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / np.sqrt(trials))
     return ConsensusEstimate(mean, "monte-carlo", trials, stderr)

@@ -194,11 +194,16 @@ class GossipMatrix:
         s = self.structure
         if not isinstance(s, OnePeer):
             return self.mat @ x
-        rows = (-1,) + (1,) * (x.ndim - 1)   # a weight per row, broadcast over columns
-        y = np.take(x, s.partner, axis=0)
+        off, diag = s.off, s.diag
+        if x.ndim == 1:   # indexing gathers a vector faster than `take`, `take` rows faster
+            y = x[s.partner]
+        else:   # a weight per row, broadcast over columns
+            y = np.take(x, s.partner, axis=0)
+            rows = (-1,) + (1,) * (x.ndim - 1)
+            off, diag = np.reshape(off, rows), np.reshape(diag, rows)
         with np.errstate(invalid="ignore"):   # 0 * inf on an idle row, inf - inf on a paired one
-            y *= np.reshape(s.off, rows)
-            y += np.reshape(s.diag, rows) * x
+            y *= off
+            y += diag * x
         return y
 
     def toarray(self) -> np.ndarray:
@@ -297,7 +302,7 @@ def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
     n = len(src)
     paired = src != np.arange(n)
     diag = np.where(paired, (1.0 - eta) + (1.0 / n) * eta, (1.0 - eta) + eta)
-    off = np.where(paired, (1.0 - 1.0 / n) * eta, 0.0)
+    off = paired * ((1.0 - 1.0 / n) * eta)   # np.where(paired, c, 0.0), bit for bit
     return GossipMatrix(n, None, family, basis_index, OnePeer(src, off, diag))
 
 
@@ -384,7 +389,8 @@ def _ou_partners(v: int, s: int, n: int) -> np.ndarray:
     to n.  The last q offsets close their residue class mod q; a +q there
     would leave the ring, so those nodes are idle.  The pattern is rotated
     from offsets to nodes and added to the node labels; only the first q can
-    fall below 0 and only the last q reach n.
+    fall below 0 and only the last q reach n, so `%= n` on those two slices
+    wraps every partner onto the ring.
     """
     q, shift = (v, 0) if 2 * v <= n else (n - v, n - v)
     hop = np.empty((-(-n // (2 * q)), 2, q), dtype=np.int64)
@@ -395,9 +401,8 @@ def _ou_partners(v: int, s: int, n: int) -> np.ndarray:
     partner = np.arange(n)
     partner[:n - r] += hop[r:]
     partner[n - r:] += hop[:r]
-    head, tail = partner[:q], partner[n - q:]
-    np.add(head, n, out=head, where=head < 0)
-    np.subtract(tail, n, out=tail, where=tail >= n)
+    partner[:q] %= n       # -q <= head < n
+    partner[n - q:] %= n   # 0 <= tail < n + q
     return partner
 
 

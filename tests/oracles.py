@@ -10,7 +10,8 @@ greedy scan run node by node, sparsity against off-diagonal
 degrees counted on the dense matrix, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
 hypercube also against the Kronecker sum folded one axis at a time, the
-CSV export against a per-entry formatting loop, the problem data against
+CSV export against a per-entry formatting loop, the Monte Carlo contraction
+against one `standard_normal(n)` draw per trial, the problem data against
 one-call (n, samples, d) draws and whole-array einsums, and the problem
 kernels against their einsum/logaddexp/expit forms.
 """
@@ -50,6 +51,27 @@ def dense_consensus_factor(dense_w):
     b = a - a.mean(axis=0, keepdims=True)
     b -= b.mean(axis=1, keepdims=True)
     return float(np.linalg.svd(b, compute_uv=False)[0])
+
+
+def contraction_per_trial(topology, trials, rng):
+    """Mean squared one-step contraction and its standard error: one `standard_normal(n)`
+    per trial, redrawn while its centred norm is below 1e-12, centred by `x - x.mean()`
+    and normalised by `np.linalg.norm`; each mixed vector centred by `y - y.mean()`."""
+    n = topology.n
+    ratios = np.empty(trials)
+    for k in range(trials):
+        x = rng.standard_normal(n)
+        x = x - x.mean()
+        norm_x = np.linalg.norm(x)
+        while norm_x < 1e-12:
+            x = rng.standard_normal(n)
+            x = x - x.mean()
+            norm_x = np.linalg.norm(x)
+        x /= norm_x
+        y = topology.sample().mix(x)
+        y = y - y.mean()
+        ratios[k] = y @ y
+    return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(trials))
 
 
 def matched_node_count(dense_a):

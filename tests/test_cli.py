@@ -591,3 +591,26 @@ def test_usage_errors_exit_2(argv, file_text, message, tmp_path, capsys):
     assert run_cli([a.format(**paths) for a in argv]) == 2
     assert message in capsys.readouterr().err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv, shows", [
+    (["--help"], "{topo-build,topo-verify,consensus,size-sweep,dsgd,dsgt,build,verify}"),
+    (["-h"], "Exit codes: 0 success"),
+    (["dsgt", "--help"], "--gamma0 GAMMA0"),
+    (["verify", "-h"], "--trials TRIALS"),
+])
+def test_help_exits_0(argv, shows, capsys):
+    assert run_cli(argv) == 0
+    out, err = capsys.readouterr()
+    assert shows in out and err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["dsgt", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+    (["topo-build", "--family", "ring", "--n"], "argument --n: expected one argument"),
+])
+def test_argument_errors_exit_2(argv, message, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.endswith("usage error: invalid arguments\n")

@@ -8,8 +8,8 @@ import equitopo as eq
 
 from equitopo.topology import DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES
 
-from oracles import (circulant_column, circulant_factor_extended, dense_consensus_factor,
-                     grid_factor_extended)
+from oracles import (circulant_column, circulant_factor_extended, contraction_per_trial,
+                     dense_consensus_factor, grid_factor_extended)
 
 EPS = float(np.finfo(float).eps)
 
@@ -208,3 +208,67 @@ def test_empirical_contraction_requires_trials():
     w = eq.build_topology(eq.TopologySpec("complete", 5))
     with pytest.raises(eq.ParameterError):
         eq.empirical_contraction(w, trials=50)
+
+
+class BlockRng:
+    """A generator that records the rows of each block of trial vectors asked of it."""
+
+    def __init__(self, seed):
+        self.rng, self.rows = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        assert size[0] >= 1, size
+        self.rows.append(size[0])
+        return self.rng.standard_normal(size)
+
+
+class ScriptedRng:
+    """Serves its script's values in order, whatever the shape asked."""
+
+    def __init__(self, script):
+        self.script, self.used = script, 0
+
+    def standard_normal(self, size):
+        count = math.prod(np.atleast_1d(size))
+        self.used += count
+        return self.script[self.used - count:self.used].reshape(size).copy()
+
+
+def contraction_topologies(n):
+    """A fresh topology of each draw kind, a static circulant and, at a square n, the grid."""
+    families = DYNAMIC_FAMILIES + ("d-equistatic",) + (("grid",) if math.isqrt(n)**2 == n else ())
+    return {family: eq.build_topology(eq.TopologySpec(family, n, rho=0.9, seed=n))
+            for family in families}
+
+
+@pytest.mark.parametrize("trials", [100, 257])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 129, 1000, 1024, 8193, 8281])
+def test_empirical_contraction_keeps_every_bit(n, trials):
+    """The block-drawn trials against one draw per trial: the same value and standard error
+    bit for bit, from blocks of at most 64 KiB (one row at least) that hold exactly the
+    trials' vectors, so the caller's generator ends in the same state.  The sizes straddle
+    the pairwise sum's 8- and 128-element blocks; 8193 and 8281 take one row per block."""
+    oracles = contraction_topologies(n)
+    for family, topo in contraction_topologies(n).items():
+        oracle_rng, rng = np.random.default_rng(n), BlockRng(n)
+        expected = contraction_per_trial(oracles[family], trials, oracle_rng)
+        est = eq.empirical_contraction(topo, trials, rng=rng)
+        assert (est.value, est.tolerance_or_stderr) == expected, family
+        assert sum(rng.rows) == trials and max(rng.rows) == min(trials, max(1, 8192 // n))
+        assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state, family
+
+
+def test_degenerate_trial_vector_is_replaced_by_the_next_drawn():
+    """Constant vectors centre to 0 and are skipped: at a block's end, at the next block's
+    start, three in a row, and as a one-row last block, after which one more row is drawn.
+    Both loops give the same bits and read the same count of values off the script."""
+    n, trials = 1000, 100
+    script = np.random.default_rng(5).standard_normal((120, n))
+    script[[0, 7, 8, 9, 23, 104]] = 2.5
+    oracle_rng, rng = ScriptedRng(script.ravel()), ScriptedRng(script.ravel())
+    expected = contraction_per_trial(eq.build_topology(eq.TopologySpec("ou-equidyn", n)),
+                                     trials, oracle_rng)
+    est = eq.empirical_contraction(eq.build_topology(eq.TopologySpec("ou-equidyn", n)),
+                                   trials, rng=rng)
+    assert (est.value, est.tolerance_or_stderr) == expected
+    assert rng.used == oracle_rng.used == 106 * n

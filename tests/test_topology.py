@@ -146,6 +146,28 @@ def test_first_draw_factor_is_size_independent():
     assert max(medians) <= 0.5
 
 
+def test_first_draw_acceptance_at_a_fraction_of_the_default_degree():
+    """The default M carries about three times the degree the guarantee needs.
+
+    At n = 10^3 (default M = 89 for rho = p = 0.5) seeded first draws of M/2,
+    M/3 and M/4 shifts meet rho = 0.5 at rates 0.985, 0.80 and 0.21 over
+    seeds 0-199; each must stay within three binomial standard deviations of
+    its rate.  M/3 already meets the 1 - p = 0.5 the default is sized for, and
+    M/4 does not.
+    """
+    n, seeds = 10**3, 200
+    default = eq.default_basis_count(n, 0.5, 0.5)
+    rates = {}
+    for m, expected in ((default // 2, 0.985), (default // 3, 0.80), (default // 4, 0.21)):
+        # rho near 1 accepts the first draw of m shifts, the one rho = 0.5 judges first
+        rates[m] = np.mean([eq.consensus_factor(eq.build_topology(
+            eq.TopologySpec("d-equistatic", n, rho=0.999, m=m, seed=seed))).value <= 0.5
+            for seed in range(seeds)])
+        assert abs(rates[m] - expected) <= 3 * math.sqrt(expected * (1 - expected) / seeds), m
+    assert (default, default // 3, default // 4) == (89, 29, 22)
+    assert rates[default // 3] >= 0.5 > rates[default // 4]
+
+
 def test_build_d_equistatic_deterministic():
     spec = eq.TopologySpec("d-equistatic", 40, rho=0.6, seed=123)
     w1, b1 = eq.build_d_equistatic(spec)
