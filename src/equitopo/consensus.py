@@ -6,7 +6,7 @@ so the disagreement ||x - mean(x0) * 1|| is the quantity tracked per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class ConsensusTrace:
     family: str
     n: int
     residual: np.ndarray   # (trials, iters + 1)
-    meta: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
         lines = ["family,n,trial,iter,residual"]
@@ -35,7 +34,10 @@ class ConsensusTrace:
 
 
 def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int) -> ConsensusTrace:
-    """Iterate x <- W^(t) x and record ||x - mean(x0) * 1|| at every step: a one-row trace."""
+    """Iterate x <- W^(t) x and record ||x - mean(x0) * 1|| at every step: a one-row trace.
+
+    A step mixes, checks x is finite and takes one norm; the mean is not tracked.
+    """
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     x = np.array(x0, dtype=float)
@@ -47,15 +49,12 @@ def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int) -> Consensus
     mean0 = x.mean()
     residuals = np.empty(iters + 1)
     residuals[0] = np.linalg.norm(x - mean0)
-    max_drift = 0.0
     for t in range(1, iters + 1):
         x = topology.sample().mix(x)
         if not np.isfinite(x).all():
             raise NonFiniteError(f"non-finite state at iteration {t}")
-        max_drift = max(max_drift, abs(x.mean() - mean0) / (1.0 + abs(mean0)))
         residuals[t] = np.linalg.norm(x - mean0)
-    return ConsensusTrace(family=topology.family, n=n, residual=residuals[None, :],
-                          meta={"max_mean_drift": max_drift})
+    return ConsensusTrace(family=topology.family, n=n, residual=residuals[None, :])
 
 
 def consensus_experiment(spec: TopologySpec, iters: int, trials: int) -> ConsensusTrace:
@@ -63,15 +62,11 @@ def consensus_experiment(spec: TopologySpec, iters: int, trials: int) -> Consens
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     residual = np.empty((trials, iters + 1))
-    drift = 0.0
     for k in range(trials):
         topology = build_topology(replace(spec, seed=derive_seed(spec.seed, "trial", k)))
         x0 = make_rng(spec.seed, "x0", k).standard_normal(spec.n)
-        tr = gossip_run(topology, x0, iters)
-        residual[k] = tr.residual[0]
-        drift = max(drift, tr.meta["max_mean_drift"])
-    return ConsensusTrace(family=spec.family, n=spec.n, residual=residual,
-                          meta={"max_mean_drift": drift})
+        residual[k] = gossip_run(topology, x0, iters).residual[0]
+    return ConsensusTrace(family=spec.family, n=spec.n, residual=residual)
 
 
 def fit_decay_slope(iterations, residuals) -> float:

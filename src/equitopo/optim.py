@@ -74,7 +74,7 @@ class LeastSquaresProblem:
     The features are stored once, per node and feature-major: `at` is the
     C-contiguous (n, d, K) array whose node block `at[i]` is A_i^T, so every
     kernel multiplies along the contiguous sample axis.  `a` is its (n, K, d)
-    transposed view.
+    transposed view.  `grad(i, x)` is row i of `grads_all`, the kernel the steps run.
     """
 
     kind = "least-squares"
@@ -119,8 +119,7 @@ class LeastSquaresProblem:
         return float(r @ r) / (2.0 * r.size)
 
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        r = x @ self.at[i] - self.b[i]
-        return (self.at[i] @ r) / self.k_samples
+        return self.grads_all(np.broadcast_to(x, (self.n, self.d)))[i]
 
     def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
         r = (x_rows[:, None, :] @ self.at)[:, 0, :]
@@ -165,7 +164,8 @@ class LogisticProblem:
     The features are stored once, per node and feature-major: `ht` is the
     C-contiguous (n, d, L) array whose node block `ht[i]` holds node i's
     samples as columns, so every kernel multiplies along the contiguous
-    sample axis.  `h` is its (n, L, d) transposed view.
+    sample axis.  `h` is its (n, L, d) transposed view.  The cost is nonconvex, with
+    no closed-form optimum.  `grad(i, x)` is row i of `grads_all`, the kernel the steps run.
     """
 
     kind = "logistic"
@@ -179,7 +179,6 @@ class LogisticProblem:
         self.sigma_n = float(sigma_n)
         self.heterogeneity = float(sigma_h)
         self.x_gen = x_gen
-        self.x_star = None                   # nonconvex: no closed-form optimum
 
     @property
     def h(self) -> np.ndarray:
@@ -202,9 +201,7 @@ class LogisticProblem:
         return float(np.mean(_softplus_neg(margin))) + self._reg_loss(x)
 
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        margin = self.y[i] * (x @ self.ht[i])
-        coef = self.y[i] * _expit_neg(margin)
-        return -(self.ht[i] @ coef) / self.l_samples + self._reg_grad(x)
+        return self.grads_all(np.broadcast_to(x, (self.n, self.d)))[i]
 
     def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
         margin = (x_rows[:, None, :] @ self.ht)[:, 0, :]

@@ -470,16 +470,9 @@ class DynSampler:
             raise ParameterError(
                 f"{type(self).__name__} draws {self.families}, not {spec.family!r}")
         self.spec = spec
+        self.n, self.family = spec.n, spec.family
         self.basis_index = basis_index
         self.rng = make_rng(spec.seed, spec.family, "sampler")
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def family(self) -> str:
-        return self.spec.family
 
     def _draw_shift(self) -> int:
         if self.basis_index is None or len(self.basis_index) == 0:
