@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from .consensus import consensus_experiment, size_independence_experiment
 from .errors import ConstructionError, ParameterError
-from .optim import StepSchedule, make_least_squares, make_logistic_ncvx, run
+from .optim import ALGORITHMS, StepSchedule, make_least_squares, make_logistic_ncvx, run
 from .output import atomic_write_text, sidecar_path, sidecar_text
 from .seeds import make_rng
 from .spectral import consensus_factor, empirical_contraction
@@ -91,11 +91,10 @@ _PARSERS = {name: _parser(hint)
             for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 # the checks only the command line makes; TopologySpec alone checks family,
-# n, rho, p, m and eta
+# n, rho, p, m and eta, and StepSchedule gamma0, decay_factor and decay_period
 _VALID = {
-    **dict.fromkeys(("iters", "trials", "samples", "d", "decay_factor", "decay_period"),
-                    lambda v: v >= 1),
-    **dict.fromkeys(("gamma0", "m_log_scale"), lambda v: v > 0.0),
+    **dict.fromkeys(("iters", "trials", "samples", "d"), lambda v: v >= 1),
+    "m_log_scale": lambda v: v > 0.0,
     **dict.fromkeys(("sigma_s", "sigma_n", "sigma_h", "reg"), lambda v: v >= 0.0),
     "problem": lambda v: v in PROBLEMS,
 }
@@ -182,12 +181,15 @@ def parse_config(argv) -> ExperimentConfig:
     for field_name in _COMMANDS[command].required:
         if getattr(config, field_name) is None:
             raise UsageError(f"missing required field {field_name!r} for {command}")
-    # TopologySpec alone judges the topology fields: every value given, also
-    # a file value a flag overrides, at every size named, before any work
+    # TopologySpec alone judges the topology fields, and StepSchedule the step
+    # fields of dsgd and dsgt: every value given, also a file value a flag
+    # overrides, at every size named, before any work
     for judged in (config, replace(config, **given)):
         for n in (judged.sizes or ()) + (judged.n,):
             if n is not None:
                 _spec_from(judged, n)
+        if command in ALGORITHMS:
+            _schedule_from(judged)
     return config
 
 
@@ -195,6 +197,10 @@ def _spec_from(config: ExperimentConfig, n=None) -> TopologySpec:
     return TopologySpec(family=config.family, n=n if n is not None else config.n,
                         rho=config.rho, p=config.p, m=config.m, eta=config.eta,
                         seed=config.seed)
+
+
+def _schedule_from(config: ExperimentConfig) -> StepSchedule:
+    return StepSchedule(config.gamma0, config.decay_factor, config.decay_period)
 
 
 def _m_for(config: ExperimentConfig, default):
@@ -310,8 +316,7 @@ def _make_problem(config: ExperimentConfig):
 
 def _cmd_optim(config: ExperimentConfig) -> int:
     problem = _make_problem(config)
-    schedule = StepSchedule(config.gamma0, config.decay_factor, config.decay_period)
-    trace = run(config.command, problem, _spec_from(config), schedule,
+    trace = run(config.command, problem, _spec_from(config), _schedule_from(config),
                 config.iters, config.trials, master_seed=config.seed)
     path = _out_path(config)
     _write(config, path, trace.csv_text(),

@@ -269,31 +269,39 @@ class StepSchedule:
     decay_factor: float = 1.0
     decay_period: int | None = None
 
+    def __post_init__(self):
+        if not self.gamma0 > 0.0:
+            raise ParameterError(f"gamma0 must be > 0, got {self.gamma0}")
+        if not self.decay_factor >= 1.0:
+            raise ParameterError(f"decay_factor must be >= 1, got {self.decay_factor}")
+        if self.decay_period is not None and self.decay_period < 1:
+            raise ParameterError(f"decay_period must be >= 1, got {self.decay_period}")
+
     def gamma(self, t: int) -> float:
         if self.decay_period is None or self.decay_factor == 1.0:
             return self.gamma0
         return self.gamma0 / self.decay_factor ** (t // self.decay_period)
 
 
-def _check_dims(state: OptState, w: GossipMatrix, problem) -> None:
+def _check_step(state: OptState, w: GossipMatrix, gamma: float, problem) -> None:
     if w.n != problem.n or state.x.shape != (problem.n, problem.d):
         raise ParameterError(
             f"dimension mismatch: W is {w.n}x{w.n}, X is {state.x.shape}, "
             f"problem is n={problem.n}, d={problem.d}")
+    if gamma < 0.0:
+        raise ParameterError(f"gamma must be >= 0, got {gamma}")
 
 
 def dsgd_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> OptState:
     """X <- W (X - gamma G) with fresh stochastic gradients G at the current X."""
-    _check_dims(state, w, problem)
-    if gamma < 0.0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
+    _check_step(state, w, gamma, problem)
     g = problem.stoch_grads_all(state.x, rng)
     return OptState(x=w.mix(state.x - gamma * g))
 
 
 def dsgt_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> OptState:
     """One tracking step; requires state.y initialized to the first gradients."""
-    _check_dims(state, w, problem)
+    _check_step(state, w, gamma, problem)
     if state.y is None or state.g_prev is None:
         raise ParameterError("tracking state not initialized (y must start at G0)")
     x_new = w.mix(state.x - gamma * state.y)

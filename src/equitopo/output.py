@@ -13,7 +13,9 @@ def atomic_write_text(path, text: str) -> Path:
     """Write via a temp file in the same directory, then rename into place.
 
     The text goes out in slices of WRITE_SLICE characters, so no encoded copy
-    of all of it is ever held; the bytes are those of one `write(text)`.
+    of all of it is ever held; the bytes are those of one `write(text)`.  The
+    file gets the mode `open(path, "w")` gives a new file, 0o666 less the
+    umask, where `mkstemp` would leave 0o600.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -22,6 +24,9 @@ def atomic_write_text(path, text: str) -> Path:
         with os.fdopen(fd, "w") as fh:
             for start in range(0, len(text), WRITE_SLICE):
                 fh.write(text[start:start + WRITE_SLICE])
+            umask = os.umask(0)   # the only way to read it; set straight back
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

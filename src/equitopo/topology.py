@@ -133,6 +133,9 @@ class GossipMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"GossipMatrix is immutable; cannot set {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"GossipMatrix is immutable; cannot delete {name!r}")
+
     @functools.cached_property
     def csr(self) -> CSR:
         """The read-only sorted CSR arrays, assembled on first read; a handed CSR gives its
@@ -189,11 +192,14 @@ class GossipMatrix:
         on idle rows.  Addition commutes, so a finite row equals the CSR
         product's 0 + a x_j + b x_k bit for bit, unless both terms are -0.0;
         an idle row of an infinite x_i is NaN where the CSR gives inf.  Like
-        the CSR product, the gather warns of neither.
+        the CSR product, the gather warns of neither, and it returns the
+        product's dtype, `np.result_type(x, np.float64)`.
         """
         s = self.structure
         if not isinstance(s, OnePeer):
             return self.mat @ x
+        if x.dtype != float:
+            x = x.astype(np.result_type(x, np.float64))
         off, diag = s.off, s.diag
         if x.ndim == 1:   # indexing gathers a vector faster than `take`, `take` rows faster
             y = x[s.partner]

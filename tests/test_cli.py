@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 import equitopo.cli
 from equitopo.cli import UsageError, atomic_write_text, main, parse_config
+from equitopo.optim import StepSchedule
 from equitopo.output import WRITE_SLICE
 from equitopo.topology import TopologySpec, build_topology, matrix_csv_text
 
@@ -94,7 +97,8 @@ def test_out_of_range_value_names_field(command, flag, value, field, tmp_path, c
 
 def test_rejected_cases_cover_every_checked_field():
     checked = {case[4] for case in REJECTED}
-    assert set(equitopo.cli._VALID) | {"family", "n", "rho", "p", "m", "eta"} <= checked
+    schedule = {f.name for f in dataclasses.fields(StepSchedule)}
+    assert set(equitopo.cli._VALID) | {"family", "n", "rho", "p", "m", "eta"} | schedule <= checked
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -564,6 +568,19 @@ def test_atomic_write_text_writes_what_write_text_writes(text, tmp_path):
     atomic_write_text(tmp_path / "sliced", text)
     (tmp_path / "whole").write_text(text)
     assert (tmp_path / "sliced").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_open_gives_a_new_file(umask, mode, tmp_path):
+    saved = os.umask(umask)
+    try:
+        assert run_cli(["topo-build", "--family", "ring", "--n", "9",
+                        "--out", tmp_path / "w.csv"]) == 0
+        (tmp_path / "plain").write_text("")
+    finally:
+        os.umask(saved)
+    for name in ("w.csv", "w.csv.meta", "plain"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
 def test_atomic_write_text_failure_keeps_target(tmp_path):

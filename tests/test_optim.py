@@ -386,11 +386,14 @@ def test_run_rejects_unknown_algorithm(ls_problem):
     (lambda p: eq.dsgd_step(eq.init_state("dsgd", p, np.zeros(5), None),
                             eq.build_topology(eq.TopologySpec("ring", 8)), -0.1, p,
                             np.random.default_rng(0)), "gamma"),
+    (lambda p: eq.dsgt_step(eq.init_state("dsgt", p, np.zeros(5), np.random.default_rng(0)),
+                            eq.build_topology(eq.TopologySpec("ring", 8)), -0.1, p,
+                            np.random.default_rng(0)), "gamma"),
     (lambda p: eq.make_logistic_ncvx(8, 5, 0, 0.001, 0.2, 0.1, np.random.default_rng(1)),
      "l_samples"),
     (lambda p: eq.make_least_squares(8, 5, 0, 0.1, 0.1, np.random.default_rng(1)), "k_samples"),
-], ids=["run-zero-iters", "dsgd-negative-gamma", "logistic-zero-samples",
-        "least-squares-zero-samples"])
+], ids=["run-zero-iters", "dsgd-negative-gamma", "dsgt-negative-gamma",
+        "logistic-zero-samples", "least-squares-zero-samples"])
 def test_parameter_errors(call, match, ls_problem):
     with pytest.raises(eq.ParameterError, match=match):
         call(ls_problem)
@@ -413,3 +416,14 @@ def test_schedule_staircase():
     assert sched.gamma(40) == pytest.approx(0.037 / 1.4)
     assert sched.gamma(80) == pytest.approx(0.037 / 1.4**2)
     assert eq.StepSchedule(0.1).gamma(1000) == 0.1
+
+
+@pytest.mark.parametrize("args, field", [
+    ((0.0,), "gamma0"), ((-0.1,), "gamma0"), ((float("nan"),), "gamma0"),
+    ((0.1, 0.5), "decay_factor"), ((0.1, 0.0, 10), "decay_factor"),
+    ((0.1, float("nan"), 10), "decay_factor"), ((0.1, 2.0, 0), "decay_period"),
+    ((0.1, 2.0, -3), "decay_period"),
+])
+def test_schedule_rejects_the_command_line_ranges(args, field):
+    with pytest.raises(eq.ParameterError, match=field):
+        eq.StepSchedule(*args)

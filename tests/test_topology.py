@@ -478,7 +478,10 @@ def test_one_peer_mix_is_the_csr_product_bit_for_bit(n):
     blowup = rng.standard_normal((n, 10))
     rows = rng.permutation(n)[:max(3, n // 4)]
     blowup[rows[0::3]], blowup[rows[1::3]], blowup[rows[2::3]] = np.inf, -np.inf, np.nan
-    xs = (rng.standard_normal(n), rng.standard_normal((n, 10)), blowup, blowup[:, 0].copy())
+    xs = (rng.standard_normal(n), rng.standard_normal((n, 10)), blowup, blowup[:, 0].copy(),
+          rng.integers(-2**40, 2**40, n), rng.integers(-9, 10, (n, 3)),
+          rng.standard_normal(n).astype(np.float32),
+          rng.standard_normal((n, 10)).astype(np.float32))
     for w in one_peer_sources(n):
         for x in xs:
             assert_mix_is_csr_product(w, x)
@@ -915,3 +918,24 @@ def test_matrix_is_immutable():
     w = eq.basis_matrix(1, 4)
     with pytest.raises(ValueError):
         w.mat.data[0] = 2.0
+
+
+@pytest.mark.parametrize("family", ["ring", "grid", "od-equidyn"])
+def test_matrix_attributes_can_be_neither_set_nor_deleted(family):
+    """Before and after the first read of `csr` and `mat`: a one-peer draw and a cyclic
+    circulant assemble both on read, a lattice is handed its CSR."""
+    w = eq.build_topology(spec_for(family, 9, seed=1)).sample()
+    x = np.arange(9.0)
+    names = ("n", "family", "basis_index", "structure", "csr", "mat")
+    for read in (False, True):
+        if read:
+            expected = w.mix(x), w.csr, w.mat
+        for name in names:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(w, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(w, name)
+        assert w.n == 9 and w.family == family and w.structure is not None
+        if read:
+            assert np.array_equal(w.mix(x), expected[0])
+            assert w.csr is expected[1] and w.mat is expected[2]
