@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from .consensus import consensus_experiment, size_independence_experiment
 from .errors import ConstructionError, ParameterError
 from .optim import ALGORITHMS, StepSchedule, make_least_squares, make_logistic_ncvx, run
-from .output import atomic_write_text, sidecar_path, sidecar_text
+from .output import atomic_write, atomic_write_text, sidecar_path, sidecar_text
 from .seeds import make_rng
 from .spectral import consensus_factor, empirical_contraction
 from .topology import (EQUI_DYNAMIC_FAMILIES, EQUI_STATIC_FAMILIES, DynSampler,
@@ -239,6 +239,10 @@ def _out_path(config: ExperimentConfig, suffix="") -> Path:
 
 def _write(config, path, csv, extra_meta=None):
     atomic_write_text(path, csv)
+    _write_sidecar(config, path, extra_meta)
+
+
+def _write_sidecar(config, path, extra_meta=None):
     meta = _config_echo(config)
     if extra_meta:
         meta.update(extra_meta)
@@ -251,7 +255,8 @@ def _cmd_topo_build(config: ExperimentConfig) -> int:
     path = _out_path(config)
     meta = {"rho_target": config.rho, "rho_measured": est.value, "method": est.method,
             "basis_index": w.basis_index, "rho_tolerance": est.tolerance_or_stderr}
-    _write(config, path, matrix_csv_text(w), meta)
+    atomic_write(path, matrix_csv_text(w))   # a refused export raises before the temp file
+    _write_sidecar(config, path, meta)
     print(f"built {config.family} n={config.n} rho_measured={est.value!r} -> {path}")
     return 0
 

@@ -12,8 +12,9 @@ import pytest
 import equitopo.cli
 from equitopo.cli import UsageError, atomic_write_text, main, parse_config
 from equitopo.optim import StepSchedule
-from equitopo.output import WRITE_SLICE
-from equitopo.topology import TopologySpec, build_topology, matrix_csv_text
+from equitopo.output import WRITE_SLICE, atomic_write
+from equitopo.topology import (CELL_BYTES, CSV_BLOCK, TopologySpec, build_topology,
+                               matrix_csv_text)
 
 
 def run_cli(argv, capsys=None):
@@ -547,18 +548,22 @@ def test_ring_consensus_loads_scipy_sparse(tmp_path):
 
 def test_export_beyond_physical_memory_refused_before_formatting(tmp_path, capsys,
                                                                   monkeypatch):
-    """Memory that holds the CSR and one copy of the text, not the CSR and two: exit 2."""
+    """Memory one byte short of the CSR, the label tables and one block's working set:
+    exit 2 and nothing written; exactly that much: the export runs."""
     w = build_topology(TopologySpec("d-equistatic", 2000))
     csr = w.mat.data.nbytes + w.mat.indices.nbytes + w.mat.indptr.nbytes
-    text = len(matrix_csv_text(w))
-    page = os.sysconf("SC_PAGE_SIZE")
-    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": page,
-                                        "SC_PHYS_PAGES": (csr + text) // page}.__getitem__)
-    out = tmp_path / "w.csv"
-    assert run_cli(["topo-build", "--family", "d-equistatic", "--n", 2000, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert f"{csr} of CSR" in err and "physical memory" in err
-    assert list(tmp_path.iterdir()) == []
+    label = len(str(w.n - 1))
+    need = csr + w.n * (8 + 2 * label + 1) + CSV_BLOCK * (
+        3 * ((label + 1) + label + CELL_BYTES) + (label + 1) + 8 + 8 + CELL_BYTES)
+    for have, code in ((need - 1, 2), (need, 0)):
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}.__getitem__)
+        out = tmp_path / "w.csv"
+        assert run_cli(["topo-build", "--family", "d-equistatic", "--n", 2000, "--out", out]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"needs {need} bytes ({csr} of CSR" in err and "physical memory" in err, err
+            assert list(tmp_path.iterdir()) == []
+    assert out.read_bytes() == b"".join(matrix_csv_text(w))
 
 
 @pytest.mark.parametrize("text", ["", "a" * WRITE_SLICE, "a" * (WRITE_SLICE + 1),
@@ -589,6 +594,22 @@ def test_atomic_write_text_failure_keeps_target(tmp_path):
     target.write_text("old\n")
     with pytest.raises(UnicodeEncodeError):
         atomic_write_text(target, "a" * WRITE_SLICE + "\ud800")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
+
+
+def test_atomic_write_failing_mid_stream_keeps_target(tmp_path):
+    """A block iterator that raises after some blocks were written leaves no temp file
+    and the old target."""
+    def blocks():
+        yield b"row,col,weight\n"
+        yield b"0,0,1.0\n" * 100_000
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "w.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        atomic_write(target, blocks())
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_text() == "old\n"
 

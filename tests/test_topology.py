@@ -1,4 +1,5 @@
 import math
+import tempfile
 import tracemalloc
 import warnings
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 import equitopo as eq
 from scipy import sparse
 
+from equitopo.output import atomic_write
+
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
-                               STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant, _lattice,
-                               _ou_partners)
+                               STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant, _exp_hops,
+                               _lattice, _ou_partners)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_by_axis_fold, hypercube_edge_set, lattice_edge_set,
@@ -693,6 +696,19 @@ def test_static_exp_hops():
     assert w[1, 0] == w[2, 0] == w[4, 0] == w[0, 0] == 0.25
 
 
+@pytest.mark.parametrize("k", range(1, 63))
+def test_exp_hops_are_the_powers_of_two_below_n(k):
+    """n = 2^k has hops 1..2^(k - 1), n = 2^k + 1 one more, 2^k; a float log2 of
+    n - 1 = 2^k - 1 rounds up to k for k >= 49, which gave hop n, a self-loop."""
+    assert _exp_hops(2**k) == [2**j for j in range(k)]
+    assert _exp_hops(2**k + 1) == [2**j for j in range(k + 1)]
+
+
+def test_one_peer_exp_sampler_hops_stay_below_n():
+    n = 2**49
+    assert eq.OnePeerExpSampler(eq.TopologySpec("one-peer-exp", n)).hops[-1] == n // 2
+
+
 def test_one_peer_exp_cycles_hops():
     sampler = eq.build_topology(eq.TopologySpec("one-peer-exp", 8, seed=0))
     hops = []
@@ -752,9 +768,13 @@ def test_d_equistatic_builds_at_n_1e5():
 
 # ---------------------------------------------------------------- export
 
+def export(w) -> bytes:
+    return b"".join(eq.matrix_csv_text(w))
+
+
 def test_matrix_csv_round_trip():
     w = eq.basis_matrix(2, 5)
-    text = eq.matrix_csv_text(w)
+    text = export(w).decode()
     lines = text.strip().splitlines()
     assert lines[0] == "row,col,weight"
     rebuilt = np.zeros((5, 5))
@@ -770,7 +790,7 @@ def test_matrix_csv_matches_loop_export(family):
               .get(family, (12, 97))):
         topo = eq.build_topology(spec_for(family, n, m=None, seed=4))
         w = topo.sample()
-        assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+        assert export(w) == matrix_csv_loop(w).encode()
 
 
 def test_matrix_csv_matches_loop_export_for_distinct_and_long_weights():
@@ -781,7 +801,7 @@ def test_matrix_csv_matches_loop_export_for_distinct_and_long_weights():
         a /= a.sum(axis=1, keepdims=True)
     w = eq.GossipMatrix(30, sparse.csr_array(a), "custom")
     assert np.unique(w.mat.data).size == 900
-    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+    assert export(w) == matrix_csv_loop(w).encode()
 
     # long reprs, and a stored -0.0 next to a stored 0.0: equal values, different text
     weights = np.array([0.1 + 0.2, 1 / 3, 2 / 3, 1e-300, 5e-324, -0.0, 0.0, 0.1 + 0.2])
@@ -790,15 +810,15 @@ def test_matrix_csv_matches_loop_export_for_distinct_and_long_weights():
     mat.sort_indices()
     w = eq.GossipMatrix(6, mat, "custom")
     assert mat.nnz == 8
-    text = eq.matrix_csv_text(w)
-    assert text == matrix_csv_loop(w)
-    assert "3,1,0.0\n" in text and "3,3,-0.0\n" in text
+    text = export(w)
+    assert text == matrix_csv_loop(w).encode()
+    assert b"3,1,0.0\n" in text and b"3,3,-0.0\n" in text
 
     unsorted = sparse.csr_array((mat.data.copy(), np.array([4, 1, 2, 0, 2, 3, 1, 0]),
                                  mat.indptr.copy()), shape=(6, 6))
     assert not unsorted.has_sorted_indices
     w = eq.GossipMatrix(6, unsorted, "custom")
-    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+    assert export(w) == matrix_csv_loop(w).encode()
     assert np.array_equal(w.csr.indices, mat.indices)   # a sorted copy; the handed CSR stays
     assert not np.shares_memory(w.csr.indices, unsorted.indices)
 
@@ -807,24 +827,25 @@ def test_matrix_csv_matches_loop_export_for_distinct_and_long_weights():
 @pytest.mark.parametrize("n", (9, 10, 11, 99, 100, 101, 999, 1000, 1001))
 def test_matrix_csv_matches_loop_export_across_label_widths(family, n):
     w = eq.build_topology(eq.TopologySpec(family, n, rho=0.5, seed=n))
-    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+    assert export(w) == matrix_csv_loop(w).encode()
 
 
 def test_matrix_csv_spans_several_blocks():
     w = eq.build_topology(eq.TopologySpec("d-equistatic", 2000, rho=0.5, seed=1))
     # rows of M entries straddle the block boundaries
     assert w.mat.nnz > 2 * CSV_BLOCK and CSV_BLOCK % (w.mat.nnz // w.n) != 0
-    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+    assert export(w) == matrix_csv_loop(w).encode()
 
 
 def test_matrix_csv_of_empty_rows_and_no_entries():
     mat = sparse.csr_array((np.array([0.5, 0.25, 0.25]), np.array([3, 0, 2]),
                             np.array([0, 1, 1, 1, 3])), shape=(4, 4))
     w = eq.GossipMatrix(4, mat, "custom")
-    assert eq.matrix_csv_text(w) == matrix_csv_loop(w) == "row,col,weight\n0,3,0.5\n" \
-        "3,0,0.25\n3,2,0.25\n"
+    assert export(w) == matrix_csv_loop(w).encode() == b"row,col,weight\n0,3,0.5\n" \
+        b"3,0,0.25\n3,2,0.25\n"
     w = eq.GossipMatrix(5, sparse.csr_array((5, 5)), "custom")
-    assert eq.matrix_csv_text(w) == matrix_csv_loop(w) == "row,col,weight\n"
+    assert list(eq.matrix_csv_text(w)) == [b"row,col,weight\n"]
+    assert matrix_csv_loop(w) == "row,col,weight\n"
 
 
 WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 0.1 + 0.2,
@@ -844,7 +865,7 @@ def test_matrix_csv_matches_loop_export_on_random_sparse(case):
                            shape=(n, n)).tocsr()
     assert mat.nnz == len(entries)
     w = eq.GossipMatrix(n, mat, "custom")
-    assert eq.matrix_csv_text(w) == matrix_csv_loop(w)
+    assert export(w) == matrix_csv_loop(w).encode()
 
 
 def diagonal_matrix(weights):
@@ -856,8 +877,8 @@ def diagonal_matrix(weights):
 
 def export_cell_widths(w):
     """Bytes of each cell of the export of `w`: a comma, the weight and the newline."""
-    lines = eq.matrix_csv_text(w).splitlines(keepends=True)[1:]
-    return [len(("," + line.split(",", 2)[2]).encode()) for line in lines]
+    lines = export(w).splitlines(keepends=True)[1:]
+    return [len(b"," + line.split(b",", 2)[2]) for line in lines]
 
 
 def test_widest_export_cell_is_cell_bytes():
@@ -891,21 +912,39 @@ def test_refused_export_allocates_little(monkeypatch):
     assert peak < 1 << 20
 
 
-def test_accepted_export_stays_within_its_memory_model():
-    """The traced peak of a CSR read and its export stays within what the
-    preflight counts: the CSR and twice the padded lines.  The sorted copy of
-    the bits and the block array are gone before the join."""
+def test_accepted_export_stays_within_its_memory_model(tmp_path):
+    """The traced peak of a CSR read and its export written to a file stays within what
+    the preflight counts: the CSR, the label tables with the arange they are cut from,
+    and one block's working set: three padded records, the row-label temp, the 8-byte
+    sort copy and a weight table as large as the block, every cell at its widest."""
     w = eq.build_topology(eq.TopologySpec("d-equistatic", 2000, rho=0.5, seed=1))
     tracemalloc.start()
     try:
         data, indices, indptr = w.csr
-        eq.matrix_csv_text(w)
+        atomic_write(tmp_path / "w.csv", eq.matrix_csv_text(w))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     label = len(str(w.n - 1))
     csr = data.nbytes + indices.nbytes + indptr.nbytes
-    assert peak <= csr + 2 * data.size * ((label + 1) + label + CELL_BYTES)
+    record = (label + 1) + label + CELL_BYTES
+    assert data.size > CSV_BLOCK
+    assert peak <= csr + w.n * (8 + 2 * label + 1) + CSV_BLOCK * (
+        3 * record + (label + 1) + 8 + 8 + CELL_BYTES)
+
+
+def test_refused_export_raises_at_the_call(tmp_path, monkeypatch):
+    """The preflight runs when `matrix_csv_text` is called, not when its first block is
+    drawn, so a refused write never makes its temp file."""
+    w = eq.build_topology(eq.TopologySpec("ring", 50))
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: 100)
+    with pytest.raises(eq.ParameterError, match="physical memory"):
+        eq.matrix_csv_text(w)
+    made, mkstemp = [], tempfile.mkstemp
+    monkeypatch.setattr(tempfile, "mkstemp", lambda **kwargs: made.append(kwargs) or mkstemp(**kwargs))
+    with pytest.raises(eq.ParameterError, match="physical memory"):
+        atomic_write(tmp_path / "w.csv", eq.matrix_csv_text(w))
+    assert made == [] and list(tmp_path.iterdir()) == []
 
 
 def test_static_matrix_draws_itself():
