@@ -5,6 +5,12 @@ a splitmix64 counter scheme: each path component (a small int or a short tag
 string) is folded into the state with one splitmix64 round.  Derived seeds
 are therefore stable under changes elsewhere in the program, e.g. adding
 trials never shifts the seeds of existing trials.
+
+A tag folds in only its first 8 UTF-8 bytes, the low 64 bits of its
+little-endian integer, so tags that share them derive the same seeds:
+"ou-equidyn" and "ou-equidyn-euclid" both fold as "ou-equid", and their
+samplers draw the same (v, s) sequence from the same seed.  Folding every
+byte would change each "ou-equidyn-euclid" output, so the fold stays.
 """
 
 from __future__ import annotations

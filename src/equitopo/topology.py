@@ -11,8 +11,9 @@ matrix as the `structure` that `spectral.consensus_factor` reads:
   to itself (a `OnePeer`): every basis matrix and every draw of the one-peer
   samplers "od-equidyn", "ou-equidyn", "ou-equidyn-euclid" and one-peer
   exponential.  Such a matrix mixes as a gather, `GossipMatrix.mix` computing
-  diag x + off x[partner], and its CSR is slotted only when `csr` is read
-  (an export, or `mat`: `toarray`);
+  diag x + off x[partner] with two scalar weights and copying x into the idle
+  rows, and its CSR is slotted only when `csr` is read (an export, or `mat`:
+  `toarray`);
 * per-axis Laplacians of paths or cycles, whose Kronecker sum L gives
   I - L / (max degree + 1) (`_lattice`): grid (a `Grid`), torus and
   hypercube (a `Circulant` over Z_m^2 or Z_2^d).
@@ -59,6 +60,12 @@ FAMILIES = STATIC_FAMILIES + DYNAMIC_FAMILIES
 RESAMPLE_CAP = 50
 CSV_BLOCK = 1 << 16   # entries per numpy pass of `matrix_csv_text`
 CELL_BYTES = 26       # widest cell ",repr(x)\n": repr(-2.2250738585072014e-308) has 24 characters
+# the bytes of `_ou_table`s an ou sampler keeps, 16 n each: the default basis's 89 shifts at
+# n = 1000 need at most 1.4 MB; unbounded, a 200-trial verify at n = 10^5 peaked at 207 MB
+OU_TABLE_BYTES = 8 << 20
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
 
 
 class Circulant(NamedTuple):
@@ -69,13 +76,13 @@ class Circulant(NamedTuple):
 
 
 class OnePeer(NamedTuple):
-    """Row i keeps `diag` and takes `off` from column partner[i]; an idle row has
-    partner[i] == i and `off` 0.  Each weight is a scalar or one per row, `diag` equal on
-    paired rows."""
+    """A paired row i keeps `diag` and takes `off` from column partner[i]; an idle row,
+    partner[i] == i, keeps 1.  `idle` lists the idle rows, in any order (none by default)."""
 
     partner: np.ndarray
-    off: float | np.ndarray
-    diag: float | np.ndarray
+    off: float
+    diag: float
+    idle: np.ndarray = _NO_ROWS
 
     @property
     def column(self) -> np.ndarray | None:
@@ -85,7 +92,7 @@ class OnePeer(NamedTuple):
         if v == 0 or not np.array_equal(self.partner, (np.arange(n) - v) % n):
             return None
         c = np.zeros(n)
-        c[0], c[v] = np.ravel(self.diag)[0], np.ravel(self.off)[0]
+        c[0], c[v] = self.diag, self.off
         return c
 
 
@@ -163,7 +170,7 @@ class GossipMatrix:
             np.add(indices, n, out=indices, where=indices < 0)
             indices, indptr = indices.ravel(), np.arange(0, n * k + 1, k)
         else:
-            src, off, diag = s
+            src, off, diag, idle = s
             i = np.arange(n)
             paired = src != i
             indptr = np.zeros(n + 1, dtype=np.int64)
@@ -172,8 +179,9 @@ class GossipMatrix:
             data = np.empty(indptr[-1])
             slot = indptr[:-1] + (src < i)  # the diagonal follows a partner with a lower column
             indices[slot], data[slot] = i, diag
+            data[slot[idle]] = 1.0
             slot = indptr[:-1][paired] + (src > i)[paired]
-            indices[slot], data[slot] = src[paired], np.broadcast_to(off, n)[paired]
+            indices[slot], data[slot] = src[paired], off
         return CSR(*_frozen(data, indices, indptr))
 
     @functools.cached_property
@@ -188,28 +196,27 @@ class GossipMatrix:
     def mix(self, x: np.ndarray) -> np.ndarray:
         """W @ x for x of shape (n,) or (n, d).
 
-        A one-peer matrix gathers: row i is diag x_i + off x_partner[i], off 0
-        on idle rows.  Addition commutes, so a finite row equals the CSR
-        product's 0 + a x_j + b x_k bit for bit, unless both terms are -0.0;
-        an idle row of an infinite x_i is NaN where the CSR gives inf.  Like
-        the CSR product, the gather warns of neither, and it returns the
-        product's dtype, `np.result_type(x, np.float64)`.
+        A one-peer matrix gathers: every row is diag x_i + off x_partner[i],
+        then the idle rows are copies of x.  Addition commutes, so a paired
+        row equals the CSR product's 0 + a x_j + b x_k, and an idle row its
+        0 + 1.0 x_i, bit for bit, unless every term is -0.0 (the CSR gives
+        +0.0); infinite and NaN entries land where the product has them, with
+        the same signs.  Like the CSR product, the gather warns of no inf -
+        inf and no overflow, and it returns the product's dtype,
+        `np.result_type(x, np.float64)`.
         """
         s = self.structure
         if not isinstance(s, OnePeer):
             return self.mat @ x
         if x.dtype != float:
             x = x.astype(np.result_type(x, np.float64))
-        off, diag = s.off, s.diag
-        if x.ndim == 1:   # indexing gathers a vector faster than `take`, `take` rows faster
-            y = x[s.partner]
-        else:   # a weight per row, broadcast over columns
-            y = np.take(x, s.partner, axis=0)
-            rows = (-1,) + (1,) * (x.ndim - 1)
-            off, diag = np.reshape(off, rows), np.reshape(diag, rows)
-        with np.errstate(invalid="ignore"):   # 0 * inf on an idle row, inf - inf on a paired one
-            y *= off
-            y += diag * x
+        # indexing gathers a vector faster than `take`, `take` rows faster
+        y = x[s.partner] if x.ndim == 1 else np.take(x, s.partner, axis=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            y *= s.off
+            y += s.diag * x
+        if s.idle.size:
+            y[s.idle] = x[s.idle]
         return y
 
     def toarray(self) -> np.ndarray:
@@ -300,16 +307,22 @@ def _check_basis_value(u: int, n: int) -> None:
         raise ParameterError(f"shift {u} outside [1, {n - 1}]")
 
 
+def _lazy_weights(n: int, eta: float) -> tuple[float, float]:
+    """`off` and `diag` of a paired row of (1 - eta) I + eta A, A giving (n-1)/n to the
+    partner and keeping 1/n.  An idle row keeps (1 - eta) + eta, which rounds to exactly 1.0
+    for every double eta in (0, 1]: 1 - eta is exact for eta >= 1/2 and otherwise off by at
+    most 2^-54, which the sum rounds back to 1."""
+    return (1.0 - 1.0 / n) * eta, (1.0 - eta) + (1.0 / n) * eta
+
+
 def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
     """(1 - eta) I + eta A, where A gives (n-1)/n to the partner and keeps 1/n, or 1 when idle.
 
     eta = 1 yields A itself, bit for bit.
     """
     n = len(src)
-    paired = src != np.arange(n)
-    diag = np.where(paired, (1.0 - eta) + (1.0 / n) * eta, (1.0 - eta) + eta)
-    off = paired * ((1.0 - 1.0 / n) * eta)   # np.where(paired, c, 0.0), bit for bit
-    return GossipMatrix(n, None, family, basis_index, OnePeer(src, off, diag))
+    idle = np.flatnonzero(src == np.arange(n))
+    return GossipMatrix(n, None, family, basis_index, OnePeer(src, *_lazy_weights(n, eta), idle))
 
 
 def basis_matrix(u: int, n: int) -> GossipMatrix:
@@ -385,31 +398,60 @@ def _check_start(v: int, s: int, n: int) -> None:
         raise ParameterError(f"start {s} outside [1, {n}]")
 
 
-def _ou_partners(v: int, s: int, n: int) -> np.ndarray:
-    """The greedy scan's matching for shift v and 1-based start s, built from slices.
+def _doubled_labels(n: int) -> np.ndarray:
+    """The node labels twice over, read-only: (i - v) % n sits at [n - v + i], so the
+    partners of the shift v are the view [n - v:2 * n - v]."""
+    labels = np.arange(2 * n) % n
+    labels.flags.writeable = False
+    return labels
 
-    With the effective hop q = min(v, n - v), count offsets k forward from
-    node s - 1 (q = v) or from its first partner s - 1 - q (q = n - v): the
-    node at offset k pairs with the node q ahead when k // q is even and q
-    behind when it is odd, the pattern +q (q times), -q (q times), ... cut
-    to n.  The last q offsets close their residue class mod q; a +q there
-    would leave the ring, so those nodes are idle.  The pattern is rotated
-    from offsets to nodes and added to the node labels; only the first q can
-    fall below 0 and only the last q reach n, so `%= n` on those two slices
-    wraps every partner onto the ring.
+
+def _ou_table(q: int, labels: np.ndarray) -> np.ndarray:
+    """The partners of the greedy scan's matching of hop q from node 0, twice over.
+
+    Count offsets k forward from a matching's first node: the node at offset
+    k pairs with the node q ahead when k // q is even and q behind when it
+    is odd, the pattern +q (q times), -q (q times), ... cut to n.  The last
+    q offsets close their residue class mod q; a +q there would leave the
+    ring, so those nodes are idle, their own partners.  No partner leaves
+    [0, n), and the table holds the n partners twice, so the partners of
+    nodes 0..n-1 at any rotation are one slice of it.  `labels` are the
+    doubled node labels.
     """
-    q, shift = (v, 0) if 2 * v <= n else (n - v, n - v)
+    n = labels.size // 2
     hop = np.empty((-(-n // (2 * q)), 2, q), dtype=np.int64)
     hop[:, 0], hop[:, 1] = q, -q
-    hop = hop.reshape(-1)[:n]
-    np.minimum(hop[n - q:], 0, out=hop[n - q:])
-    r = (shift - (s - 1)) % n   # node i sits at offset (i + r) % n
-    partner = np.arange(n)
-    partner[:n - r] += hop[r:]
-    partner[n - r:] += hop[:r]
-    partner[:q] %= n       # -q <= head < n
-    partner[n - q:] %= n   # 0 <= tail < n + q
-    return partner
+    partner = hop.reshape(-1)[:n]
+    np.minimum(partner[n - q:], 0, out=partner[n - q:])
+    partner += labels[:n]
+    return np.concatenate((partner, partner))
+
+
+def _ou_read(table: np.ndarray, labels: np.ndarray, v: int, s: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The partners and the idle rows of the matching of shift v from 1-based start s, read
+    off `_ou_table` of q = min(v, n - v) and the doubled labels.
+
+    The offsets count from node s - 1 (q = v) or from its first partner
+    s - 1 - q (q = n - v), so node i sits at offset k = (i + r) % n.  Its
+    partner is node (table[k] - r) % n, which is labels[n - r + table[k]]:
+    one gather from the labels viewed at n - r, indexed by the table viewed
+    at r.  The idle offsets [a, b) are the last q whose k // q is even, one
+    run, so the idle rows are the labels' view at n - r + a.
+    """
+    n = labels.size // 2
+    q, shift = (v, 0) if 2 * v <= n else (n - v, n - v)
+    r = (shift - (s - 1)) % n
+    end = ((n - q) // q + 1) * q   # the end of the block offset n - q falls in, <= n
+    a, b = (n - q, end) if end // q % 2 else (end, n)
+    return labels[n - r:][table[r:r + n]], labels[n - r + a:n - r + b]
+
+
+def _ou_partners(v: int, s: int, n: int) -> np.ndarray:
+    """The greedy scan's matching for shift v and 1-based start s: the sampler's rule,
+    `_ou_read` of the table of q = min(v, n - v), with a table built for this call."""
+    labels = _doubled_labels(n)
+    return _ou_read(_ou_table(min(v, n - v), labels), labels, v, s)[0]
 
 
 def _euclid_partners(v: int, s: int, n: int) -> np.ndarray:
@@ -440,8 +482,8 @@ def ou_scan_matrix(v: int, s: int, n: int) -> GossipMatrix:
 
 
 def ou_equidyn_node_view(v: int, s: int, n: int) -> GossipMatrix:
-    """The greedy scan's matching without the scan: `_ou_partners` adds a +q/-q hop
-    pattern, built from slices and rotated to the start s, to the node labels.
+    """The greedy scan's matching without the scan: `_ou_partners` rotates the matching of
+    hop q = min(v, n - v) from node 0 to the start s, the samplers' rule.
 
     Produces a matrix bit-identical to `ou_scan_matrix(v, s, n)`.
     """
@@ -466,7 +508,9 @@ class DynSampler:
     Single-owner: concurrent experiments should hold independent samplers with
     distinct seeds.  Given identical (spec, seed) the emitted sequence is
     identical across runs.  A subclass's `sample` makes each draw, a
-    `GossipMatrix` built from its partner array alone.
+    `GossipMatrix` built from its partner array alone; a shift draw's
+    partners, and an ou draw's idle rows, are read-only views of the
+    sampler's doubled labels.
     """
 
     families: tuple[str, ...] = ()
@@ -480,11 +524,20 @@ class DynSampler:
         self.basis_index = basis_index
         self.rng = make_rng(spec.seed, spec.family, "sampler")
 
+    @functools.cached_property
+    def _labels(self) -> np.ndarray:   # built on the first draw
+        return _doubled_labels(self.n)
+
     def _draw_shift(self) -> int:
         if self.basis_index is None or len(self.basis_index) == 0:
             raise ParameterError("sampler holds an empty basis index")
         values = self.basis_index.values
         return values[int(self.rng.integers(0, len(values)))]
+
+    def _shift(self, v: int, off: float, diag: float, basis_index) -> GossipMatrix:
+        n = self.n
+        partner = self._labels[n - v:2 * n - v]
+        return GossipMatrix(n, None, self.family, basis_index, OnePeer(partner, off, diag))
 
 
 class OdEquiDynSampler(DynSampler):
@@ -494,19 +547,42 @@ class OdEquiDynSampler(DynSampler):
 
     def sample(self) -> GossipMatrix:
         v = self._draw_shift()
-        return _lazy_one_peer((np.arange(self.n) - v) % self.n, self.spec.eta, self.family, (v,))
+        return self._shift(v, *_lazy_weights(self.n, self.spec.eta), (v,))
 
 
 class OuEquiDynSampler(DynSampler):
-    """Draws (v, s): (1-eta) I + eta A for the one-peer matching of shift v from start s."""
+    """Draws (v, s): (1-eta) I + eta A for the one-peer matching of shift v from start s.
+
+    An ou draw reads its partners and idle rows off the table of the hop
+    q = min(v, n - v) (`_ou_table`, `_ou_read`).  The sampler keeps each
+    table it builds while the kept tables fit in OU_TABLE_BYTES; past that, a
+    draw builds its table and drops it.
+    """
 
     families = ("ou-equidyn", "ou-equidyn-euclid")
+
+    def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None):
+        super().__init__(spec, basis_index)
+        self._tables: dict[int, np.ndarray] = {}
 
     def sample(self) -> GossipMatrix:
         v = self._draw_shift()
         s = int(self.rng.integers(1, self.n + 1))
-        rule = _euclid_partners if self.family == "ou-equidyn-euclid" else _ou_partners
-        return _lazy_one_peer(rule(v, s, self.n), self.spec.eta, self.family, (v,))
+        return self._matching(v, s)
+
+    def _matching(self, v: int, s: int) -> GossipMatrix:
+        n, eta = self.n, self.spec.eta
+        if self.family == "ou-equidyn-euclid":
+            return _lazy_one_peer(_euclid_partners(v, s, n), eta, self.family, (v,))
+        q = min(v, n - v)
+        table = self._tables.get(q)
+        if table is None:
+            table = _ou_table(q, self._labels)
+            if (len(self._tables) + 1) * table.nbytes <= OU_TABLE_BYTES:
+                self._tables[q] = table
+        partner, idle = _ou_read(table, self._labels, v, s)
+        return GossipMatrix(n, None, self.family, (v,),
+                            OnePeer(partner, *_lazy_weights(n, eta), idle))
 
 
 def _exp_hops(n: int) -> list[int]:
@@ -529,8 +605,7 @@ class OnePeerExpSampler(DynSampler):
     def sample(self) -> GossipMatrix:
         hop = self.hops[self.t % len(self.hops)]
         self.t += 1
-        return GossipMatrix(self.n, None, self.family, None,
-                            OnePeer((np.arange(self.n) - hop) % self.n, 0.5, 0.5))
+        return self._shift(hop, 0.5, 0.5, None)
 
 
 def _axis_laplacian(m: int, edges: int) -> sparse.csr_array:

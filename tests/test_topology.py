@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equitopo as eq
+import equitopo.topology
 from scipy import sparse
 
 from equitopo.output import atomic_write
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
                                STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant, _exp_hops,
-                               _lattice, _ou_partners)
+                               _lattice, _lazy_weights, _ou_partners)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_by_axis_fold, hypercube_edge_set, lattice_edge_set,
@@ -354,6 +355,84 @@ def test_ou_partner_rule_matches_scan_for_every_shift_and_start():
                 assert np.array_equal(partner, ou_scan_partners(v, s, n)), (n, v, s)
 
 
+def assert_draw_is_scan_matching(w, v, s, n):
+    """The draw's partners are the greedy scan's, its idle rows those pointing to themselves,
+    and its weights the lazy ones of its eta."""
+    expected = ou_scan_partners(v, s, n)
+    one_peer = w.structure
+    assert np.array_equal(one_peer.partner, expected), (n, v, s)
+    assert sorted(one_peer.idle.tolist()) == np.flatnonzero(expected == np.arange(n)).tolist(), \
+        (n, v, s)
+    assert (one_peer.off, one_peer.diag) == _lazy_weights(n, 0.3)
+
+
+@pytest.mark.parametrize("budget", ["default", 0])
+def test_ou_sampler_tables_give_the_scan_matching(budget, monkeypatch):
+    """Every (v, s) at n = 2..40 and 300 draws at n = 1000, from tables kept within the
+    budget and, with a budget of 0, from a table built and dropped at every draw."""
+    if budget == 0:
+        monkeypatch.setattr(equitopo.topology, "OU_TABLE_BYTES", 0)
+    for n in range(2, 41):
+        sampler = eq.OuEquiDynSampler(spec_for("ou-equidyn", n, eta=0.3),
+                                      eq.complete_basis(n).with_reversals())
+        for v in range(1, n):
+            for s in range(1, n + 1):
+                assert_draw_is_scan_matching(sampler._matching(v, s), v, s, n)
+        assert len(sampler._tables) == (0 if budget == 0 else n // 2)
+    n = 1000
+    basis = eq.complete_basis(n).with_reversals()
+    sampler = eq.OuEquiDynSampler(spec_for("ou-equidyn", n, eta=0.3, seed=5), basis)
+    twin = eq.make_rng(5, "ou-equidyn", "sampler")
+    for _ in range(300):
+        v = basis.values[int(twin.integers(0, len(basis)))]
+        s = int(twin.integers(1, n + 1))
+        assert_draw_is_scan_matching(sampler.sample(), v, s, n)
+
+
+@pytest.mark.parametrize("n,budget", [(100000, None), (1000, 5 * 16000), (1000, 16000 - 1)])
+def test_ou_sampler_keeps_its_tables_within_the_budget(n, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(equitopo.topology, "OU_TABLE_BYTES", budget)
+    budget = equitopo.topology.OU_TABLE_BYTES
+    sampler = eq.OuEquiDynSampler(spec_for("ou-equidyn", n, seed=1),
+                                  eq.complete_basis(n).with_reversals())
+    for _ in range(40):
+        sampler.sample()
+        kept = sum(table.nbytes for table in sampler._tables.values())
+        assert kept <= budget
+    assert len(sampler._tables) == budget // (16 * n)   # 40 draws meet more distinct q than fit
+
+
+def test_shift_draws_are_views_of_one_label_array():
+    """od-equidyn and one-peer-exp draws take their partners as read-only views of one
+    array per sampler, with scalar weights and no idle rows."""
+    n = 37
+    for sampler in (eq.OdEquiDynSampler(spec_for("od-equidyn", n, eta=0.3),
+                                         eq.complete_basis(n)),
+                    eq.build_topology(eq.TopologySpec("one-peer-exp", n))):
+        draws = [sampler.sample().structure for _ in range(8)]
+        for d in draws:
+            assert not d.partner.flags.writeable and d.idle.size == 0
+            assert np.shares_memory(d.partner, draws[0].partner)
+            assert isinstance(d.off, float) and isinstance(d.diag, float)
+            v = -int(d.partner[0]) % n
+            assert np.array_equal(d.partner, (np.arange(n) - v) % n)
+
+
+def test_idle_weight_rounds_to_one_for_every_eta():
+    """(1 - eta) + eta, the weight an idle row of a lazy one-peer draw keeps, is exactly
+    1.0: over the edges of (0, 1) and random doubles of every binade."""
+    tiny = np.finfo(float).smallest_subnormal
+    k = np.arange(1, 1075)
+    edges = np.concatenate([[tiny, 2 * tiny, np.finfo(float).smallest_normal, 0.5, 1.0],
+                            np.ldexp(1.0, -k), np.nextafter(np.ldexp(1.0, -k), 0),
+                            np.nextafter(np.ldexp(1.0, -k), 1), 1.0 - np.ldexp(1.0, -k[:53])])
+    rng = np.random.default_rng(0)
+    random = np.ldexp(rng.uniform(0.5, 1.0, 10**6), rng.integers(-1074, 0, 10**6))
+    for eta in (edges[(edges > 0) & (edges <= 1)], random[random > 0], rng.uniform(0, 1, 10**6)):
+        assert np.all((1.0 - eta) + eta == 1.0)
+
+
 def test_ou_node_view_antipode():
     w = eq.ou_equidyn_node_view(4, 3, 8)
     assert matched_pairs(w) == {(1, 5), (2, 6), (3, 7), (4, 8)}
@@ -467,12 +546,14 @@ def one_peer_sources(n):
 
 
 def assert_mix_is_csr_product(w, x):
-    """Equal bits where the CSR product is finite, and the same non-finite entries."""
+    """Equal bits where the CSR product is finite, and the same non-finite values: +-inf of
+    the same sign and NaN in the same places."""
     y, expected = w.mix(x), w.mat @ x
     finite = np.isfinite(expected)
     assert y.shape == expected.shape and y.dtype == np.float64
     assert np.array_equal(np.isfinite(y), finite)
     assert np.array_equal(y[finite].view(np.int64), expected[finite].view(np.int64))
+    assert np.array_equal(y[~finite], expected[~finite], equal_nan=True)
 
 
 @pytest.mark.parametrize("n", [*range(2, 41), 1000])
@@ -491,8 +572,8 @@ def test_one_peer_mix_is_the_csr_product_bit_for_bit(n):
 
 
 def test_one_peer_mix_warns_of_no_non_finite_entry():
-    """+-inf and NaN on the idle row and on paired rows mix silently, with the non-finite
-    entries of the CSR product."""
+    """+-inf, NaN and the largest doubles on the idle row and on paired rows mix silently,
+    to the values of the CSR product."""
     w = eq.ou_equidyn_node_view(1, 1, 5)   # pairs (0, 1) and (2, 3), node 4 idle
     assert w.structure.partner.tolist() == [1, 0, 3, 2, 4]
     xs = []
@@ -504,6 +585,8 @@ def test_one_peer_mix_warns_of_no_non_finite_entry():
     x = np.arange(1.0, 6.0)
     x[[0, 1, 4]] = np.inf, -np.inf, -np.inf   # inf - inf on a pair
     xs.append(x)
+    big = np.finfo(float).max
+    xs += [np.full(5, big), np.full((5, 2), -big), np.array([big, big / 2, 1.0, -1.0, -big])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in xs:
