@@ -24,8 +24,10 @@ export, or the first read of `mat`: a mix, `toarray`); `consensus_factor`
 needs only the column.  The lattices are built straight into CSR by
 `_lattice`.  The export reads only `csr`, so `scipy.sparse` is imported only
 where a lattice is built or a CSR product is formed (`mat`): a circulant's
-mix, `toarray`.  Node labels and matrix storage (CSR)
-are 0-based; only the start s of an "ou" matching counts from 1.  A matrix is
+mix, `toarray`.  One `_check_memory` refuses work that would not fit in
+physical memory where it allocates: a circulant's CSR in `csr`, a lattice at
+its build, an export at the call.  Node labels and matrix storage (CSR) are
+0-based; only the start s of an "ou" matching counts from 1.  A matrix is
 the sampler that always draws itself (`GossipMatrix.sample`), so a step loop
 draws `topology.sample()` and mixes with `mix` whether the topology is static
 or dynamic.  Constructed matrices are immutable and safe to share across
@@ -152,7 +154,9 @@ class GossipMatrix:
         (i - u) % n.  Walking S from the largest shift down gives ascending
         columns i - u for u <= i; the shifts above i land on columns above i,
         so they rotate to the row's end.  The rows from one shift up to the
-        next share one rotation.  A one-peer row stores its diagonal and, when
+        next share one rotation.  A circulant CSR whose 16 n |S| bytes (8-byte
+        data and indices) would not fit in physical memory is refused before
+        its arrays are allocated.  A one-peer row stores its diagonal and, when
         paired, its partner's weight; an idle row stores its diagonal only.
         """
         if "mat" in vars(self):   # a handed CSR
@@ -163,6 +167,8 @@ class GossipMatrix:
             c = s.column
             shifts = np.flatnonzero(c)
             k = shifts.size
+            _check_memory(16 * n * k, f"an n = {n} {self.family} matrix stores {n * k} entries, "
+                                      f"{16 * n * k} bytes of CSR")
             rotations = sliding_window_view(np.tile(shifts[::-1], 2), k)[k::-1]
             order = np.repeat(rotations, np.diff(shifts, prepend=0, append=n), axis=0)
             data = c[order].ravel()
@@ -294,12 +300,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(n: int, entries: int, need: int, family: str, what: str = "of CSR") -> None:
-    """Refuse a matrix of `entries` stored entries whose build needs more than physical memory."""
+def _check_memory(need: int, what: str) -> None:
+    """Refuse `what`, which needs `need` bytes, when that is more than physical memory."""
     have = _physical_memory()
     if need > have:
-        raise ParameterError(f"an n = {n} {family} matrix stores {entries} entries, "
-                             f"{need} bytes {what}, more than the {have} bytes of physical memory")
+        raise ParameterError(f"{what}, more than the {have} bytes of physical memory")
 
 
 def _check_basis_value(u: int, n: int) -> None:
@@ -333,16 +338,9 @@ def basis_matrix(u: int, n: int) -> GossipMatrix:
 
 
 def _circulant(c: np.ndarray, family: str, basis_index=None) -> GossipMatrix:
-    """Circulant matrix W[i, j] = c[(i - j) % n], its sorted CSR arrays assembled on the
-    first read of `csr`.
-
-    A matrix whose CSR (8-byte data and indices) would not fit in physical
-    memory is refused here, before anything is allocated.
-    """
-    n = c.size
-    k = np.count_nonzero(c)
-    _check_memory(n, n * k, 16 * n * k, family)
-    return GossipMatrix(n, None, family, basis_index, Circulant(c))
+    """Circulant matrix W[i, j] = c[(i - j) % n], held as its column alone; `csr` checks
+    the memory of its sorted CSR arrays and assembles them on first read."""
+    return GossipMatrix(c.size, None, family, basis_index, Circulant(c))
 
 
 def build_d_equistatic(spec: TopologySpec) -> tuple[GossipMatrix, BasisIndex]:
@@ -652,7 +650,8 @@ def _lattice(shape: tuple[int, ...], cyclic: bool, family: str) -> GossipMatrix:
     n = math.prod(shape)
     edges = [m if cyclic and m >= 3 else m - 1 for m in shape]
     entries = n + sum(n // m * 2 * e for m, e in zip(shape, edges))
-    _check_memory(n, entries, 56 * entries, family, "at the build's peak")
+    _check_memory(56 * entries, f"an n = {n} {family} matrix stores {entries} entries, "
+                                f"{56 * entries} bytes at the build's peak")
     weight = 1.0 / (sum(min(e, 2) for e in edges) + 1.0)
     lap = _kronsum(list(map(_axis_laplacian, shape, edges)))
     lap.data *= -weight
@@ -758,11 +757,8 @@ def matrix_csv_text(w: GossipMatrix) -> Iterator[bytes]:
     record = (width + 1) + width + CELL_BYTES
     block = min(nnz, CSV_BLOCK) * (3 * record + (width + 1) + 8 + 8 + CELL_BYTES)
     need = csr + labels + block
-    have = _physical_memory()
-    if need > have:
-        raise ParameterError(f"exporting an n = {w.n} {w.family} matrix needs {need} bytes "
-                             f"({csr} of CSR, {labels} of labels and {block} per block of "
-                             f"{CSV_BLOCK} lines), more than the {have} bytes of physical memory")
+    _check_memory(need, f"exporting an n = {w.n} {w.family} matrix needs {need} bytes ({csr} "
+                        f"of CSR, {labels} of labels and {block} per block of {CSV_BLOCK} lines)")
     return _csv_blocks(w.n, data, indices, indptr, width)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import equitopo.cli
@@ -493,11 +494,19 @@ def test_matrix_beyond_physical_memory_refused_before_allocating(tmp_path, capsy
         assert f"n = {n} {family}" in err and f"{entries} entries, {need} bytes" in err, err
         assert "physical memory" in err
         assert list(tmp_path.iterdir()) == []
-    # verify reads the factor off the column alone, yet is refused the same matrix
-    out = tmp_path / "v.csv"
-    assert run_cli(["topo-verify", "--family", "complete", "--n", m, "--out", out]) == 2
-    assert f"n = {m} complete" in capsys.readouterr().err
+    # a mix assembles the CSR, so consensus is refused the same matrix at its first step
+    out = tmp_path / "c.csv"
+    assert run_cli(["consensus", "--family", "complete", "--n", m, "--iters", 1,
+                    "--trials", 1, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"n = {m} complete matrix stores {m * m} entries, {16 * m * m} bytes" in err, err
     assert list(tmp_path.iterdir()) == []
+    # verify reads the factor off the column alone: it runs and writes the exact factor
+    out = tmp_path / "v.csv"
+    assert run_cli(["topo-verify", "--family", "complete", "--n", m, "--out", out]) == 0
+    factor = float(np.abs(np.fft.fft(np.full(m, 1.0 / m))[1:]).max())
+    assert out.read_text().splitlines()[1] == \
+        f"complete,{m},,0.5,{factor!r},circulant-fft,1"
 
 
 # imports equitopo and equitopo.cli, then runs commands in order, noting after each

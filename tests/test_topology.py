@@ -773,6 +773,60 @@ def test_refused_lattice_allocates_little(family, n, monkeypatch):
     assert peak < 1 << 20
 
 
+CIRCULANT_FAMILIES = ("ring", "static-exp", "complete", "d-equistatic", "u-equistatic")
+
+
+@pytest.mark.parametrize("family", CIRCULANT_FAMILIES)
+def test_circulant_csr_builds_in_exactly_its_counted_memory(family, monkeypatch):
+    """The count is 16 bytes per stored entry, 8 of data and 8 of index: that much memory
+    assembles the same CSR, one byte less is refused when `csr` is read."""
+    spec = eq.TopologySpec(family, 300, seed=1)
+    ref = eq.build_topology(spec).csr
+    need = 16 * ref.data.size
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: need)
+    for got, want in zip(eq.build_topology(spec).csr, ref):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: need - 1)
+    w = eq.build_topology(spec)
+    with pytest.raises(eq.ParameterError, match=f"an n = 300 {family} matrix stores "
+                                                f"{ref.data.size} entries, {need} bytes of CSR"):
+        w.csr
+    with pytest.raises(eq.ParameterError, match="physical memory"):
+        w.mix(np.ones(300))
+
+
+@pytest.mark.parametrize("family, n", [("ring", 10**5), ("static-exp", 10**5), ("complete", 2000),
+                                       ("d-equistatic", 10**5), ("u-equistatic", 10**5)])
+def test_refused_circulant_csr_allocates_little(family, n, monkeypatch):
+    """The refusal comes before the CSR arrays, 4.8 MB (ring) to 420 MB (u-equistatic),
+    are allocated: the check reads only the column's support."""
+    w = eq.build_topology(eq.TopologySpec(family, n, seed=1))
+    need = 16 * w.n * np.count_nonzero(w.structure.column)
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(eq.ParameterError, match=f"{need} bytes of CSR"):
+            w.csr
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_d_equistatic_builds_where_only_its_csr_would_not_fit(monkeypatch):
+    """The builder holds the column alone: memory for the column and not for the CSR
+    builds the same candidates and factor, and only reading `csr` is refused."""
+    spec = eq.TopologySpec("d-equistatic", 2000, seed=3)
+    ref, ref_basis = eq.build_d_equistatic(spec)
+    monkeypatch.setattr("equitopo.topology._physical_memory", lambda: 8 * spec.n)
+    w, basis = eq.build_d_equistatic(spec)
+    assert basis == ref_basis
+    assert w.structure.column.tobytes() == ref.structure.column.tobytes()
+    assert eq.consensus_factor(w) == eq.consensus_factor(ref)
+    with pytest.raises(eq.ParameterError, match="bytes of CSR"):
+        w.csr
+
+
 def test_static_exp_hops():
     w = eq.build_topology(eq.TopologySpec("static-exp", 6)).toarray()
     # hops 1, 2, 4 plus self, uniform 1/4
@@ -1020,6 +1074,7 @@ def test_refused_export_raises_at_the_call(tmp_path, monkeypatch):
     """The preflight runs when `matrix_csv_text` is called, not when its first block is
     drawn, so a refused write never makes its temp file."""
     w = eq.build_topology(eq.TopologySpec("ring", 50))
+    w.csr   # assembled first, so the export's own check is the one refusing
     monkeypatch.setattr("equitopo.topology._physical_memory", lambda: 100)
     with pytest.raises(eq.ParameterError, match="physical memory"):
         eq.matrix_csv_text(w)
