@@ -6,7 +6,9 @@ Options may come from flags or a flat `key = value` config file; flags win.
 Every command writes a CSV artifact plus a `<out>.meta` sidecar echoing the
 fully resolved configuration, so reruns from the sidecar are byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 construction failure, 4 divergence.
+Exit codes: 0 success; 2 usage or parameter error, work refused because it would
+not fit in physical memory, or memory running out; 3 construction failure;
+4 divergence.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ def _coerce(key: str, raw: str):
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")   # as `atomic_write_text` writes it
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -379,6 +381,9 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:   # an allocation that no memory check counted
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

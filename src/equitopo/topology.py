@@ -307,6 +307,10 @@ def _check_memory(need: int, what: str) -> None:
         raise ParameterError(f"{what}, more than the {have} bytes of physical memory")
 
 
+def _check_column(n: int, family: str) -> None:
+    _check_memory(8 * n, f"an n = {n} {family} matrix's column holds {n} weights, {8 * n} bytes")
+
+
 def _check_basis_value(u: int, n: int) -> None:
     if not 1 <= u <= n - 1:
         raise ParameterError(f"shift {u} outside [1, {n - 1}]")
@@ -348,12 +352,14 @@ def build_d_equistatic(spec: TopologySpec) -> tuple[GossipMatrix, BasisIndex]:
 
     The candidate is accepted once its measured consensus factor is <= spec.rho;
     after RESAMPLE_CAP failed attempts a ConstructionError carrying the best
-    candidate is raised.
+    candidate is raised.  A column that would not fit in physical memory is
+    refused before the first draw.
     """
     from .spectral import consensus_factor
 
     rng = make_rng(spec.seed, "d-equistatic")
     n = spec.n
+    _check_column(n, spec.family)
     m = spec.m if spec.m is not None else default_basis_count(n, spec.rho, spec.p)
     best_w, best_value = None, np.inf
     for _ in range(RESAMPLE_CAP):
@@ -689,6 +695,8 @@ def build_topology(spec: TopologySpec) -> GossipMatrix | DynSampler:
         return OdEquiDynSampler(spec, _dynamic_basis(spec))
     if family in ("ou-equidyn", "ou-equidyn-euclid"):
         return OuEquiDynSampler(spec, _dynamic_basis(spec).with_reversals())
+    if family in ("ring", "static-exp", "complete"):
+        _check_column(n, family)
     if family == "ring":
         deg = 1 if n == 2 else 2
         c = np.zeros(n)

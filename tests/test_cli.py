@@ -5,6 +5,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +508,86 @@ def test_matrix_beyond_physical_memory_refused_before_allocating(tmp_path, capsy
     factor = float(np.abs(np.fft.fft(np.full(m, 1.0 / m))[1:]).max())
     assert out.read_text().splitlines()[1] == \
         f"complete,{m},,0.5,{factor!r},circulant-fft,1"
+
+
+@pytest.mark.parametrize("argv", [["topo-build", "--family", family] for family in
+                                  ("ring", "static-exp", "complete", "d-equistatic",
+                                   "u-equistatic")] + [["topo-verify", "--family", "od-equidyn"]],
+                         ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_column_beyond_physical_memory_refused_before_allocating(argv, tmp_path, capsys,
+                                                                  monkeypatch):
+    """At n = 10^10 a circulant's column alone is 8e10 bytes, more than the 64 GiB a larger
+    host counts as: exit 2 naming n and the bytes, nothing written, little allocated.  The
+    dynamic families' parent is a d-equistatic column."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    pages = min(os.sysconf("SC_PHYS_PAGES"), 2**36 // page)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": pages}.__getitem__)
+    n = 10**10
+    tracemalloc.start()
+    try:
+        code = run_cli(argv + ["--n", n, "--out", tmp_path / "w.csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "physical memory" in err, err
+    assert f"an n = {n} {argv[2]} matrix's column holds {n} weights, {8 * n} bytes" in err, err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError(
+    "Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type float64")],
+    ids=["bare", "numpy"])
+def test_memory_error_exits_2_with_one_line(exc, tmp_path, capsys, monkeypatch):
+    """An allocation that no memory check counted fails with one line on stderr, whether
+    it comes before any output or while the CSV is written."""
+    def refuse(*args):
+        raise exc
+
+    def fail_midway(w):
+        yield b"row,col,weight\n"
+        raise exc
+
+    for name, fake in (("build_topology", refuse), ("matrix_csv_text", fail_midway)):
+        with monkeypatch.context() as patch:
+            patch.setattr(equitopo.cli, name, fake)
+            assert run_cli(["topo-build", "--family", "ring", "--n", 9,
+                            "--out", tmp_path / "w.csv"]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1, err
+        assert str(exc) in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_undecodable_config_file_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"family = ring\nn = 9\xff\n")
+    out = tmp_path / "out" / "w.csv"
+    assert run_cli(["topo-build", "--config", conf, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read config file {conf}") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_sidecar_replays_under_an_ascii_locale(tmp_path):
+    """Sidecars are written in UTF-8, and read back in UTF-8 whatever the locale: an `out`
+    holding a non-ASCII name replays under LC_ALL=POSIX with UTF-8 mode off."""
+    first = tmp_path / "\u00e9.csv"
+    assert run_cli(["topo-build", "--family", "ring", "--n", 9, "--out", first]) == 0
+    conf = tmp_path / "sidecar.meta"
+    conf.write_bytes((tmp_path / "\u00e9.csv.meta").read_bytes())
+    assert "\u00e9".encode() in conf.read_bytes()
+    replay = tmp_path / "replay.csv"
+    src = str(Path(equitopo.cli.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="POSIX", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "equitopo.cli", "topo-build", "--config",
+                           str(conf), "--out", str(replay)], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 0, done.stderr
+    assert replay.read_bytes() == first.read_bytes()
 
 
 # imports equitopo and equitopo.cli, then runs commands in order, noting after each

@@ -15,6 +15,22 @@ def test_uniform_matrix_reaches_consensus_in_one_step():
     assert (residual[1:] <= 1e-12 * np.linalg.norm(x0)).all()
 
 
+@pytest.mark.parametrize("n, exact", [(2, True), (4, True), (8, True), (64, True), (1024, True),
+                                      (2**16, True), (6, False), (1000, False)])
+def test_one_peer_exp_averages_exactly_in_tau_steps_at_powers_of_two(n, exact):
+    """At n = 2^tau the tau one-peer hops 1, 2, ..., 2^(tau - 1) with weights 1/2 average
+    exactly (Ying et al., NeurIPS 2021): the residual after tau steps is rounding alone.
+    Any other n is left far from the mean."""
+    tau = (n - 1).bit_length()
+    x0 = np.random.default_rng(n).standard_normal(n)
+    (residual,) = eq.gossip_run(eq.build_topology(eq.TopologySpec("one-peer-exp", n)),
+                                x0, tau).residual
+    if exact:
+        assert residual[tau] <= 4 * tau * np.finfo(float).eps * residual[0]
+    else:
+        assert residual[tau] > 1e-3 * residual[0]
+
+
 def test_static_matrix_contracts_at_its_factor():
     rng = np.random.default_rng(1)
     x0 = rng.standard_normal(50)
