@@ -84,25 +84,33 @@ def consensus_factor(w: GossipMatrix) -> ConsensusEstimate:
                          "its factor off")
 
 
+def _row_dots(block: np.ndarray) -> np.ndarray:
+    """Each row's `x @ x`, bit for bit, as one stacked matmul (an einsum's bits differ)."""
+    return (block[:, None, :] @ block[:, :, None])[:, 0, 0]
+
+
 def empirical_contraction(topology: GossipMatrix | DynSampler, trials: int,
                           rng=None, seed: int = 0) -> ConsensusEstimate:
     """Mean squared one-step contraction over random mean-zero unit vectors.
 
-    Each trial draws `topology.sample()`: a fresh matrix from a dynamic
+    Each trial draws `topology.sample()` once: a fresh matrix from a dynamic
     sampler, the matrix itself from a static one.  The trial vectors come
     from `rng` in blocks of TRIAL_BLOCK_BYTES (at least one row), each block
     sized to the trials still to run: the same stream as one
     `standard_normal(n)` per trial, so a vector whose centred norm is below
     1e-12 is replaced by the next one drawn and `rng` ends where a draw per
-    trial would leave it.  A block is centred in place by its row sums / n,
-    a mixed vector by its sum / n, and a norm is `sqrt(x @ x)`: the bits of
-    `x - x.mean()` and `np.linalg.norm`.  `rng` must not be the sampler's
-    own generator, whose draws would then fall between the blocks'.
+    trial would leave it.  The arithmetic runs a block at a time: centred by
+    its row sums / n, divided by its row norms, each row overwritten by its
+    mix, centred again, squared norms by `_row_dots`: the bits of `x -
+    x.mean()`, `np.linalg.norm` and `y @ y` per trial.  `rng` must not be
+    the sampler's own generator, which draws ahead of its samples.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
     if rng is None:
         rng = make_rng(seed, "contraction")
+    if rng is getattr(topology, "rng", None):
+        raise ParameterError("the trial vectors' generator must not be the sampler's own")
     n = topology.n
     rows = max(1, TRIAL_BLOCK_BYTES // (8 * n))
     ratios = np.empty(trials)
@@ -110,15 +118,16 @@ def empirical_contraction(topology: GossipMatrix | DynSampler, trials: int,
     while k < trials:
         block = rng.standard_normal((min(rows, trials - k), n))
         block -= block.sum(axis=1, keepdims=True) / n
+        norms = np.sqrt(_row_dots(block))
+        keep = norms >= 1e-12   # a rejected vector is replaced by the next one drawn
+        if not keep.all():
+            block, norms = block[keep], norms[keep]
+        block /= norms[:, None]
         for x in block:
-            norm_x = math.sqrt(x @ x)
-            if norm_x < 1e-12:   # the next vector drawn replaces it
-                continue
-            x /= norm_x
-            y = topology.sample().mix(x)
-            y -= y.sum() / n
-            ratios[k] = y @ y
-            k += 1
+            x[:] = topology.sample().mix(x)
+        block -= block.sum(axis=1, keepdims=True) / n
+        ratios[k:k + len(block)] = _row_dots(block)
+        k += len(block)
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / np.sqrt(trials))
     return ConsensusEstimate(mean, "monte-carlo", trials, stderr)

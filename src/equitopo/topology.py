@@ -65,6 +65,7 @@ CELL_BYTES = 26       # widest cell ",repr(x)\n": repr(-2.2250738585072014e-308)
 # the bytes of `_ou_table`s an ou sampler keeps, 16 n each: the default basis's 89 shifts at
 # n = 1000 need at most 1.4 MB; unbounded, a 200-trial verify at n = 10^5 peaked at 207 MB
 OU_TABLE_BYTES = 8 << 20
+_CHUNK = 64   # draws an od or ou sampler takes from one `rng.integers` call
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_ROWS.flags.writeable = False
@@ -514,7 +515,8 @@ class DynSampler:
     identical across runs.  A subclass's `sample` makes each draw, a
     `GossipMatrix` built from its partner array alone; a shift draw's
     partners, and an ou draw's idle rows, are read-only views of the
-    sampler's doubled labels.
+    sampler's doubled labels.  An od or ou sampler makes _CHUNK draws' `integers` calls
+    as one, with the same values and end state, so `rng` runs up to a chunk ahead of `sample`.
     """
 
     families: tuple[str, ...] = ()
@@ -527,16 +529,19 @@ class DynSampler:
         self.n, self.family = spec.n, spec.family
         self.basis_index = basis_index
         self.rng = make_rng(spec.seed, spec.family, "sampler")
+        self._weights = _lazy_weights(spec.n, spec.eta)   # (off, diag) of an od or ou draw
+        self._chunk: list = []   # drawn integers not yet used, the next draw last
 
     @functools.cached_property
     def _labels(self) -> np.ndarray:   # built on the first draw
         return _doubled_labels(self.n)
 
-    def _draw_shift(self) -> int:
-        if self.basis_index is None or len(self.basis_index) == 0:
-            raise ParameterError("sampler holds an empty basis index")
-        values = self.basis_index.values
-        return values[int(self.rng.integers(0, len(values)))]
+    def _draw(self):   # the next draw's integers: a basis index (od), an index and a start (ou)
+        if not self._chunk:
+            if self.basis_index is None or len(self.basis_index) == 0:
+                raise ParameterError("sampler holds an empty basis index")
+            self._chunk = self.rng.integers(*self._bounds).tolist()[::-1]
+        return self._chunk.pop()
 
     def _shift(self, v: int, off: float, diag: float, basis_index) -> GossipMatrix:
         n = self.n
@@ -549,9 +554,14 @@ class OdEquiDynSampler(DynSampler):
 
     families = ("od-equidyn",)
 
+    @functools.cached_property
+    def _bounds(self) -> tuple:   # a chunk of `integers(0, len(values))`
+        return 0, np.full(_CHUNK, len(self.basis_index))
+
     def sample(self) -> GossipMatrix:
-        v = self._draw_shift()
-        return self._shift(v, *_lazy_weights(self.n, self.spec.eta), (v,))
+        i = self._draw()
+        v = self.basis_index.values[i]
+        return self._shift(v, *self._weights, (v,))
 
 
 class OuEquiDynSampler(DynSampler):
@@ -568,16 +578,17 @@ class OuEquiDynSampler(DynSampler):
     def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None):
         super().__init__(spec, basis_index)
         self._tables: dict[int, np.ndarray] = {}
+        # a chunk of `integers(0, len(values))` then `integers(1, n + 1)`, one row per draw
+        self._bounds = (0, 1), np.tile((len(basis_index or ()), spec.n + 1), (_CHUNK, 1))
 
     def sample(self) -> GossipMatrix:
-        v = self._draw_shift()
-        s = int(self.rng.integers(1, self.n + 1))
-        return self._matching(v, s)
+        i, s = self._draw()
+        return self._matching(self.basis_index.values[i], s)
 
     def _matching(self, v: int, s: int) -> GossipMatrix:
-        n, eta = self.n, self.spec.eta
+        n = self.n
         if self.family == "ou-equidyn-euclid":
-            return _lazy_one_peer(_euclid_partners(v, s, n), eta, self.family, (v,))
+            return _lazy_one_peer(_euclid_partners(v, s, n), self.spec.eta, self.family, (v,))
         q = min(v, n - v)
         table = self._tables.get(q)
         if table is None:
@@ -585,8 +596,7 @@ class OuEquiDynSampler(DynSampler):
             if (len(self._tables) + 1) * table.nbytes <= OU_TABLE_BYTES:
                 self._tables[q] = table
         partner, idle = _ou_read(table, self._labels, v, s)
-        return GossipMatrix(n, None, self.family, (v,),
-                            OnePeer(partner, *_lazy_weights(n, eta), idle))
+        return GossipMatrix(n, None, self.family, (v,), OnePeer(partner, *self._weights, idle))
 
 
 def _exp_hops(n: int) -> list[int]:

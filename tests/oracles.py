@@ -5,7 +5,8 @@ against central finite differences, the decentralized reductions against a
 plain gradient-descent loop, spectral values against a from-scratch
 dense SVD of the mean-centred matrix, a long-double DFT or a long-double
 closed form, carried circulant columns against the CSR they were built into, one-peer
-draws against dense matrices built node by node, the ou partner rule against the
+draws against dense matrices built node by node, chunked draws against one
+scalar `integers` call at a time, the ou partner rule against the
 greedy scan run node by node, sparsity against off-diagonal
 degrees counted on the dense matrix, circulant matrices against
 COO assembly, grid/torus/hypercube against edge sets and COO assembly, the
@@ -72,6 +73,17 @@ def contraction_per_trial(topology, trials, rng):
         y = y - y.mean()
         ratios[k] = y @ y
     return float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(trials))
+
+
+def one_by_one_draws(values, n, rng, draws, starts):
+    """The (v, s) of `draws` one-peer draws, one scalar `integers` call each: a shift
+    `values[rng.integers(0, len(values))]`, then, for an ou draw (`starts`), a 1-based
+    start `rng.integers(1, n + 1)`; an od draw's s is None."""
+    made = []
+    for _ in range(draws):
+        v = values[int(rng.integers(0, len(values)))]
+        made.append((v, int(rng.integers(1, n + 1)) if starts else None))
+    return made
 
 
 def matched_node_count(dense_a):

@@ -272,3 +272,38 @@ def test_degenerate_trial_vector_is_replaced_by_the_next_drawn():
                                    trials, rng=rng)
     assert (est.value, est.tolerance_or_stderr) == expected
     assert rng.used == oracle_rng.used == 106 * n
+
+
+class CountingSampler:
+    """Hands out its topology's draws and counts the `sample` calls."""
+
+    def __init__(self, topology):
+        self.topology, self.n, self.calls = topology, topology.n, 0
+
+    def sample(self):
+        self.calls += 1
+        return self.topology.sample()
+
+
+@pytest.mark.parametrize("family", DYNAMIC_FAMILIES + ("d-equistatic",))
+def test_one_sample_per_trial(family):
+    """Every trial draws exactly one matrix, a rejected trial vector none: 257 trials make
+    257 `sample` calls, with and without constant vectors among those drawn."""
+    n, trials = 257, 257
+    script = np.random.default_rng(2).standard_normal((trials + 3, n))
+    script[[0, 40, 41]] = -1.0
+    for rng in (np.random.default_rng(1), ScriptedRng(script.ravel())):
+        counting = CountingSampler(eq.build_topology(eq.TopologySpec(family, n, seed=3)))
+        est = eq.empirical_contraction(counting, trials, rng=rng)
+        assert counting.calls == est.iterations_or_trials == trials
+
+
+@pytest.mark.parametrize("family", EQUI_DYNAMIC_FAMILIES)
+def test_sampler_generator_refused_for_trial_vectors(family):
+    """The trial vectors may not come from the sampler's own generator, which draws a chunk
+    ahead of its samples; a static matrix has none, so any generator serves it."""
+    sampler = eq.build_topology(eq.TopologySpec(family, 50, seed=1))
+    with pytest.raises(eq.ParameterError, match="sampler's own"):
+        eq.empirical_contraction(sampler, 100, rng=sampler.rng)
+    w = eq.build_topology(eq.TopologySpec("ring", 50))
+    assert eq.empirical_contraction(w, 100, rng=sampler.rng).iterations_or_trials == 100

@@ -21,7 +21,7 @@ from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_by_axis_fold, hypercube_edge_set, lattice_edge_set,
                      matched_node_count, matrix_csv_loop, max_off_diagonal_degree,
-                     ou_scan_partners, uniform_undirected_coo)
+                     one_by_one_draws, ou_scan_partners, uniform_undirected_coo)
 
 
 def spec_for(family, n, **kw):
@@ -308,6 +308,15 @@ def test_od_empty_basis_rejected():
         sampler.sample()
 
 
+@pytest.mark.parametrize("family", EQUI_DYNAMIC_FAMILIES)
+@pytest.mark.parametrize("basis", [eq.BasisIndex((), 5), None])
+def test_empty_basis_rejected_at_the_first_draw(family, basis):
+    cls = eq.OdEquiDynSampler if family == "od-equidyn" else eq.OuEquiDynSampler
+    sampler = cls(spec_for(family, 5, m=4), basis)   # building it raises nothing
+    with pytest.raises(eq.ParameterError, match="empty basis index"):
+        sampler.sample()
+
+
 # ---------------------------------------------------------------- ou-equidyn
 
 def test_ou_scan_shift2_start1():
@@ -401,6 +410,50 @@ def test_ou_sampler_keeps_its_tables_within_the_budget(n, budget, monkeypatch):
         kept = sum(table.nbytes for table in sampler._tables.values())
         assert kept <= budget
     assert len(sampler._tables) == budget // (16 * n)   # 40 draws meet more distinct q than fit
+
+
+@pytest.mark.parametrize("bounds", [((0, 89), (1, 1000)), ((0, 49), (1, 50)), ((0, 1), (1, 2)),
+                                    ((0, 5), (1, 2**32 - 1)), ((0, 5), (1, 2**32)),
+                                    ((0, 3), (1, 2**33)), ((0, 2**33), (1, 2**35))])
+def test_broadcast_integers_equal_scalar_calls(bounds):
+    """The numpy property chunked draws rest on: one `integers` call with per-element bounds
+    gives the values, and leaves the generator in the state, of the scalar calls made one by
+    one, interleaved as an ou sampler's (index, start) pairs or alone as an od sampler's
+    indices, for highs on both sides of 2^32."""
+    chunk = equitopo.topology._CHUNK
+    lows, highs = zip(*bounds)
+    broadcast, scalar = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        got = broadcast.integers(lows, np.tile(highs, (chunk, 1))).tolist()
+        assert got == [[int(scalar.integers(*b)) for b in bounds] for _ in range(chunk)]
+        got = broadcast.integers(0, np.full(chunk, highs[1])).tolist()
+        assert got == [int(scalar.integers(0, highs[1])) for _ in range(chunk)]
+    assert broadcast.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("family", EQUI_DYNAMIC_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3, 50, 1000])
+def test_chunked_draws_equal_one_by_one_draws(family, n):
+    """Each sampler's (v, s) sequence against the scalar draws made one at a time, for draw
+    counts on both sides of a chunk's end; an od draw has no start."""
+    chunk = equitopo.topology._CHUNK
+    for draws in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        seed = 7 * n + draws
+        sampler = eq.build_topology(eq.TopologySpec(family, n, rho=0.9, seed=seed))
+        made = []
+        if family != "od-equidyn":
+            def recording(v, s, matching=sampler._matching):
+                made.append((v, s))
+                return matching(v, s)
+            sampler._matching = recording
+        for _ in range(draws):
+            w = sampler.sample()
+            if family == "od-equidyn":
+                made.append((w.basis_index[0], None))
+        expected = one_by_one_draws(sampler.basis_index.values, n,
+                                    eq.make_rng(seed, family, "sampler"), draws,
+                                    starts=family != "od-equidyn")
+        assert made == expected, draws
 
 
 def test_shift_draws_are_views_of_one_label_array():
