@@ -18,6 +18,17 @@ RESIDUAL_FLOOR = 1e-13
 TRANSIENT_ITERS = 2
 
 
+def sum_sq(v: np.ndarray) -> float:
+    """The sum of v's squared entries, squaring v in place: pass a temporary.
+
+    numpy's pairwise sum gives the same bits at any BLAS thread count;
+    `v @ v` and `np.linalg.norm` hand a long vector to BLAS `ddot`, which
+    splits it across threads and so rounds differently with their number.
+    """
+    np.square(v, out=v)
+    return float(v.sum())
+
+
 @dataclass
 class ConsensusTrace:
     """Residuals of one or more trials of one topology: residual[k, t] is trial k at iteration t."""
@@ -36,7 +47,7 @@ class ConsensusTrace:
 def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int) -> ConsensusTrace:
     """Iterate x <- W^(t) x and record ||x - mean(x0) * 1|| at every step: a one-row trace.
 
-    A step mixes, checks x is finite and takes one norm; the mean is not tracked.
+    A step mixes, checks x is finite and takes one norm (`sum_sq`); the mean is not tracked.
     """
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
@@ -48,12 +59,12 @@ def gossip_run(topology: GossipMatrix | DynSampler, x0, iters: int) -> Consensus
         raise ParameterError(f"x0 must have shape ({n},), got {x.shape}")
     mean0 = x.mean()
     residuals = np.empty(iters + 1)
-    residuals[0] = np.linalg.norm(x - mean0)
+    residuals[0] = np.sqrt(sum_sq(x - mean0))
     for t in range(1, iters + 1):
         x = topology.sample().mix(x)
         if not np.isfinite(x).all():
             raise NonFiniteError(f"non-finite state at iteration {t}")
-        residuals[t] = np.linalg.norm(x - mean0)
+        residuals[t] = np.sqrt(sum_sq(x - mean0))
     return ConsensusTrace(family=topology.family, n=n, residual=residuals[None, :])
 
 

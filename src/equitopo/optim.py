@@ -9,18 +9,29 @@ adds an auxiliary Y that follows the average gradient:
 Both synthetic problem generators expose exact gradients, a noisy gradient
 oracle (exact + Gaussian noise), and the global loss.  Each problem stores its
 features once, per node and feature-major ((n, d, samples), C-contiguous), so
-every per-iteration contraction is a BLAS matrix product along the contiguous
-sample axis.  The stacked kernels work in place on the product's output, and
-each logistic term costs one `exp` (`_softplus_neg`, `_expit_neg`).
+every contraction is a BLAS matrix product along the contiguous sample axis.
+
+Each optimizer state is evaluated once, by `evaluate`, at the x its step
+produced: every node's row and the rows' mean are stacked into an (n, 2, d)
+block, so one batched product gives the margins (or residuals) at both and
+one more the gradient products.  The oracle at the rows and the record at the
+mean so take two passes over the features per iteration, where separate
+calls took five (two for the gradients, two for the global gradient, one for
+the loss).  The state keeps both (`OptState.grads`, `OptState.record`), and
+`run` reads its records off the states.  The kernel works in place on the
+products' output, and each logistic term costs one `exp` (`_softplus_neg`,
+`_expit_neg`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
+from .consensus import sum_sq
 from .errors import ParameterError
 from .seeds import derive_seed, make_rng
 from .topology import GossipMatrix, TopologySpec, build_topology
@@ -41,10 +52,10 @@ def _softplus_neg(m: np.ndarray) -> np.ndarray:
         return out
 
 
-def _expit_neg(m: np.ndarray) -> np.ndarray:
+def _expit_neg(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e^{m}) elementwise with one exp; for m > 709 it overflows to the exact limit 0."""
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(m)
+        out = np.exp(m, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
 
@@ -68,7 +79,69 @@ def _node_blocks(n: int, samples: int, d: int, rng):
         yield slice(start, stop), rng.standard_normal((stop - start, samples, d))
 
 
-class LeastSquaresProblem:
+# feature bytes per node block of `_passes`: a block stays in cache from one pass to the next
+_EVAL_BLOCK = 1 << 20
+
+
+class _Problem:
+    """The evaluation both problems share; a problem adds `_passes`, its two passes.
+
+    `_passes(rows, point)` returns the local gradients at the rows and the
+    global gradient and loss at `point`.  It runs both passes over one block
+    of nodes at a time (`_blocks`): one batched product gives the margins
+    (or residuals) at each node's row and at `point`, and one more their
+    gradient products.  The products are kept for all nodes, so the global
+    gradient sums them over nodes in one call; the loss sums its terms per
+    block, each block's pairwise, so a problem that fits one block (n L d <=
+    2^17) sums them as one array.
+    """
+
+    def _blocks(self, rows: np.ndarray, point: np.ndarray, node_bytes: int):
+        """Yield (nodes, z): slices of about _EVAL_BLOCK bytes of features, and the
+        (nodes, 2, d) stack of each node's row and `point`."""
+        step = max(1, _EVAL_BLOCK // node_bytes)
+        for start in range(0, self.n, step):
+            nodes = slice(start, start + step)
+            block = rows[nodes]
+            z = np.empty((len(block), 2, self.d))
+            z[:, 0], z[:, 1] = block, point
+            yield nodes, z
+
+    def evaluate(self, x_rows: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
+        """The exact local gradients at the rows, and the record (grad_norm_sq, loss,
+        consensus residual) at their mean, from two passes over the features.
+
+        The mean is the sum over nodes divided by n, the bits of `mean`.
+        """
+        xbar = x_rows.sum(axis=0) / self.n
+        grads, g, loss = self._passes(x_rows, xbar)
+        return grads, (float(g @ g), loss, float(np.sqrt(sum_sq(x_rows - xbar))))
+
+    def _noisy(self, g: np.ndarray, rng) -> np.ndarray:
+        """Stochastic gradients: `g` plus N(0, sigma_n^2 I) noise, one (n, d) draw."""
+        if self.sigma_n > 0.0:
+            g = g + self.sigma_n * rng.standard_normal((self.n, self.d))
+        return g
+
+    # The views below run `_passes` as the steps do, so the kernel tests check
+    # the code every step runs.
+    def grad(self, i: int, x: np.ndarray) -> np.ndarray:
+        return self.grads_all(np.broadcast_to(x, (self.n, self.d)))[i]
+
+    def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
+        return self.evaluate(x_rows)[0]
+
+    def stoch_grads_all(self, x_rows: np.ndarray, rng) -> np.ndarray:
+        return self._noisy(self.grads_all(x_rows), rng)
+
+    def global_grad(self, x: np.ndarray) -> np.ndarray:
+        return self._passes(np.broadcast_to(x, (self.n, self.d)), x)[1]
+
+    def loss(self, x: np.ndarray) -> float:
+        return self._passes(np.broadcast_to(x, (self.n, self.d)), x)[2]
+
+
+class LeastSquaresProblem(_Problem):
     """n local costs f_i(x) = (1/2K) ||A_i x - b_i||^2 with known global optimum.
 
     The features are stored once, per node and feature-major: `at` is the
@@ -78,6 +151,9 @@ class LeastSquaresProblem:
     """
 
     kind = "least-squares"
+    # in each class's own namespace, where perfbench/spans.py looks them up to trace them
+    stoch_grads_all, global_grad, loss = (_Problem.stoch_grads_all, _Problem.global_grad,
+                                          _Problem.loss)
 
     def __init__(self, at: np.ndarray, b: np.ndarray, sigma_n: float, sigma_s: float,
                  x_gen: np.ndarray):
@@ -109,33 +185,19 @@ class LeastSquaresProblem:
         return np.linalg.solve(gram, rhs)
 
     def local_loss(self, i: int, x: np.ndarray) -> float:
-        r = x @ self.at[i] - self.b[i]
-        return float(r @ r) / (2.0 * self.k_samples)
+        return sum_sq(x @ self.at[i] - self.b[i]) / (2.0 * self.k_samples)
 
-    def loss(self, x: np.ndarray) -> float:
-        r = x @ self.at
-        r -= self.b
-        r = r.ravel()
-        return float(r @ r) / (2.0 * r.size)
-
-    def grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.grads_all(np.broadcast_to(x, (self.n, self.d)))[i]
-
-    def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
-        r = (x_rows[:, None, :] @ self.at)[:, 0, :]
-        r -= self.b
-        return (self.at @ r[:, :, None])[:, :, 0] / self.k_samples
-
-    def stoch_grads_all(self, x_rows: np.ndarray, rng) -> np.ndarray:
-        g = self.grads_all(x_rows)
-        if self.sigma_n > 0.0:
-            g = g + self.sigma_n * rng.standard_normal((self.n, self.d))
-        return g
-
-    def global_grad(self, x: np.ndarray) -> np.ndarray:
-        r = x @ self.at
-        r -= self.b
-        return (self.at @ r[:, :, None]).sum(axis=0)[:, 0] / (self.n * self.k_samples)
+    def _passes(self, rows, point):
+        n, k = self.n, self.k_samples
+        prod = np.empty((n, 2, self.d))   # gradient products at the rows, then at the point
+        sq = 0.0
+        for nodes, z in self._blocks(rows, point, self.at[0].nbytes):
+            r = np.empty((2, len(z), k))   # residuals at the rows, then at the point
+            np.matmul(z, self.at[nodes], out=r.transpose(1, 0, 2))
+            r -= self.b[nodes]
+            np.matmul(r.transpose(1, 0, 2), self.a[nodes], out=prod[nodes])
+            sq += sum_sq(r[1])
+        return prod[:, 0] / k, prod[:, 1].sum(axis=0) / (n * k), sq / (2.0 * n * k)
 
 
 def make_least_squares(n: int, d: int, k_samples: int, sigma_s: float, sigma_n: float,
@@ -158,7 +220,7 @@ def make_least_squares(n: int, d: int, k_samples: int, sigma_s: float, sigma_n: 
     return LeastSquaresProblem(at, b, sigma_n, sigma_s, x_gen)
 
 
-class LogisticProblem:
+class LogisticProblem(_Problem):
     """Regularized logistic costs f_i(x) = mean_l ln(1 + exp(-y h.x)) + R sum x^2/(1+x^2).
 
     The features are stored once, per node and feature-major: `ht` is the
@@ -169,6 +231,9 @@ class LogisticProblem:
     """
 
     kind = "logistic"
+    # in each class's own namespace, where perfbench/spans.py looks them up to trace them
+    stoch_grads_all, global_grad, loss = (_Problem.stoch_grads_all, _Problem.global_grad,
+                                          _Problem.loss)
 
     def __init__(self, ht: np.ndarray, y: np.ndarray, reg: float, sigma_n: float,
                  sigma_h: float, x_gen: np.ndarray):
@@ -195,35 +260,21 @@ class LogisticProblem:
         margin = self.y[i] * (x @ self.ht[i])
         return float(np.mean(_softplus_neg(margin))) + self._reg_loss(x)
 
-    def loss(self, x: np.ndarray) -> float:
-        margin = x @ self.ht
-        margin *= self.y
-        return float(np.mean(_softplus_neg(margin))) + self._reg_loss(x)
-
-    def grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.grads_all(np.broadcast_to(x, (self.n, self.d)))[i]
-
-    def grads_all(self, x_rows: np.ndarray) -> np.ndarray:
-        margin = (x_rows[:, None, :] @ self.ht)[:, 0, :]
-        margin *= self.y
-        coef = _expit_neg(margin)
-        coef *= self.y
-        data = -(self.ht @ coef[:, :, None])[:, :, 0] / self.l_samples
-        return data + self._reg_grad(x_rows)
-
-    def stoch_grads_all(self, x_rows: np.ndarray, rng) -> np.ndarray:
-        g = self.grads_all(x_rows)
-        if self.sigma_n > 0.0:
-            g = g + self.sigma_n * rng.standard_normal((self.n, self.d))
-        return g
-
-    def global_grad(self, x: np.ndarray) -> np.ndarray:
-        margin = x @ self.ht
-        margin *= self.y
-        coef = _expit_neg(margin)
-        coef *= self.y
-        data = -(self.ht @ coef[:, :, None]).sum(axis=0)[:, 0] / (self.n * self.l_samples)
-        return data + self._reg_grad(x)
+    def _passes(self, rows, point):
+        n, l = self.n, self.l_samples
+        prod = np.empty((n, 2, self.d))   # gradient products at the rows, then at the point
+        loss = 0.0
+        for nodes, z in self._blocks(rows, point, self.ht[0].nbytes):
+            m = np.empty((2, len(z), l))   # margins at the rows, then at the point
+            np.matmul(z, self.ht[nodes], out=m.transpose(1, 0, 2))
+            m *= self.y[nodes]
+            loss += _softplus_neg(m[1]).sum()
+            _expit_neg(m, out=m)
+            m *= self.y[nodes]
+            np.matmul(m.transpose(1, 0, 2), self.h[nodes], out=prod[nodes])
+        grads = -prod[:, 0] / l + self._reg_grad(rows)
+        g = -prod[:, 1].sum(axis=0) / (n * l) + self._reg_grad(point)
+        return grads, g, float(loss / (n * l)) + self._reg_loss(point)
 
 
 def make_logistic_ncvx(n: int, d: int, l_samples: int, reg: float, sigma_h: float,
@@ -254,11 +305,15 @@ def make_logistic_ncvx(n: int, d: int, l_samples: int, reg: float, sigma_h: floa
 
 @dataclass
 class OptState:
-    """Stacked local models (and tracking variables for DSGT)."""
+    """Stacked local models (and tracking variables for DSGT), with their one evaluation:
+    the exact local gradients at x and the record (grad_norm_sq, loss, consensus residual)
+    at x's mean (`evaluate`)."""
 
     x: np.ndarray
     y: np.ndarray | None = None
     g_prev: np.ndarray | None = None
+    grads: np.ndarray | None = None
+    record: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -293,10 +348,14 @@ def _check_step(state: OptState, w: GossipMatrix, gamma: float, problem) -> None
 
 
 def dsgd_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> OptState:
-    """X <- W (X - gamma G) with fresh stochastic gradients G at the current X."""
+    """X <- W (X - gamma G) with fresh stochastic gradients G at the current X; requires
+    the state's gradients (`init_state`)."""
     _check_step(state, w, gamma, problem)
-    g = problem.stoch_grads_all(state.x, rng)
-    return OptState(x=w.mix(state.x - gamma * g))
+    if state.grads is None:
+        raise ParameterError("state holds no gradients (start it with init_state)")
+    x = w.mix(state.x - gamma * problem._noisy(state.grads, rng))
+    grads, record = problem.evaluate(x)
+    return OptState(x=x, grads=grads, record=record)
 
 
 def dsgt_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> OptState:
@@ -305,17 +364,20 @@ def dsgt_step(state: OptState, w: GossipMatrix, gamma: float, problem, rng) -> O
     if state.y is None or state.g_prev is None:
         raise ParameterError("tracking state not initialized (y must start at G0)")
     x_new = w.mix(state.x - gamma * state.y)
-    g_new = problem.stoch_grads_all(x_new, rng)
+    grads, record = problem.evaluate(x_new)
+    g_new = problem._noisy(grads, rng)
     y_new = w.mix(state.y) + g_new - state.g_prev
-    return OptState(x=x_new, y=y_new, g_prev=g_new)
+    return OptState(x=x_new, y=y_new, g_prev=g_new, grads=grads, record=record)
 
 
 def init_state(algorithm: str, problem, x0: np.ndarray, rng) -> OptState:
+    """Every node at x0, evaluated; dsgt also draws its first stochastic gradients."""
     x = np.repeat(np.asarray(x0, float)[None, :], problem.n, axis=0)
+    grads, record = problem.evaluate(x)
     if algorithm == "dsgd":
-        return OptState(x=x)
-    g0 = problem.stoch_grads_all(x, rng)
-    return OptState(x=x, y=g0.copy(), g_prev=g0)
+        return OptState(x=x, grads=grads, record=record)
+    g0 = problem._noisy(grads, rng)
+    return OptState(x=x, y=g0.copy(), g_prev=g0, grads=grads, record=record)
 
 
 @dataclass
@@ -348,22 +410,14 @@ class OptTrace:
         return "\n".join(lines) + "\n"
 
 
-def _metrics(problem, x_rows: np.ndarray) -> tuple[float, float, float]:
-    xbar = x_rows.mean(axis=0)
-    g = problem.global_grad(xbar)
-    grad_norm_sq = float(g @ g)
-    loss = problem.loss(xbar)
-    consensus = float(np.linalg.norm(x_rows - xbar))
-    return grad_norm_sq, loss, consensus
-
-
 def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
         iters: int, trials: int = 1, master_seed: int = 0) -> OptTrace:
     """Drive dsgd/dsgt over fresh topologies, one independent trial per derived seed.
 
     Metrics use exact gradients at the averaged model and are recorded at
-    every iteration.  A trial that produces non-finite values is truncated at
-    its last finite record and flagged rather than aborting the sweep.
+    every iteration, read off the state (`OptState.record`).  A trial that
+    produces non-finite values is truncated at its last finite record and
+    flagged rather than aborting the sweep.
     """
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -376,25 +430,21 @@ def run(algorithm: str, problem, spec: TopologySpec, schedule: StepSchedule,
         topology = build_topology(replace(spec, seed=derive_seed(tseed, "topology")))
         rng = make_rng(tseed, "noise")
         x0 = make_rng(tseed, "init").standard_normal(problem.d)
-        state = init_state(algorithm, problem, x0, rng)
-        gs, ls, cs = [], [], []
-        # overflow on a diverging trial is expected: the record after the step
+        recs = []
+        # overflow on a diverging trial is expected: the record of the state
         # finds it (a non-finite X makes the consensus residual NaN) and the
         # trial is truncated and flagged rather than aborted
         with np.errstate(over="ignore", invalid="ignore"):
+            state = init_state(algorithm, problem, x0, rng)
             for t in range(iters + 1):
-                grad_norm_sq, loss, consensus = _metrics(problem, state.x)
-                if not (np.isfinite(grad_norm_sq) and np.isfinite(loss)
-                        and np.isfinite(consensus)):
+                if not all(map(math.isfinite, state.record)):
                     diverged.append(trial)
                     break
-                gs.append(grad_norm_sq)
-                ls.append(loss)
-                cs.append(consensus)
+                recs.append(state.record)
                 if t == iters:
                     break
                 state = step(state, topology.sample(), schedule.gamma(t), problem, rng)
-        records.append({"grad_norm_sq": np.array(gs), "loss": np.array(ls),
-                        "consensus_residual": np.array(cs)})
+        columns = np.array(recs).reshape(-1, 3).T
+        records.append(dict(zip(("grad_norm_sq", "loss", "consensus_residual"), columns)))
     return OptTrace(algo=algorithm, family=spec.family, n=spec.n, records=records,
                     diverged_trials=tuple(diverged))

@@ -469,6 +469,19 @@ def _euclid_partners(v: int, s: int, n: int) -> np.ndarray:
     return np.where(matched, np.where(m % 2 == 0, i + v, i - v) % n, i)
 
 
+def _euclid_table(v: int, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start-1 partners of `_euclid_partners` twice over, and its idle rows.
+
+    Shifting the start by r moves every sweep position by r nodes, so the
+    start-s matching is this one rotated by r = s - 1: node i pairs with
+    (p[(i - r) % n] + r) % n, and the idle rows are (idle + r) % n.  Read
+    with `_ou_read`'s views at r (`OuEquiDynSampler._matching`).
+    """
+    n = labels.size // 2
+    partner = _euclid_partners(v, 1, n)
+    return np.concatenate((partner, partner)), np.flatnonzero(partner == labels[:n])
+
+
 def ou_scan_matrix(v: int, s: int, n: int) -> GossipMatrix:
     """Greedy one-peer matching: scan j = s-1, ..., s+n-2 (mod n), pairing j with (j + v) % n.
 
@@ -568,16 +581,17 @@ class OuEquiDynSampler(DynSampler):
     """Draws (v, s): (1-eta) I + eta A for the one-peer matching of shift v from start s.
 
     An ou draw reads its partners and idle rows off the table of the hop
-    q = min(v, n - v) (`_ou_table`, `_ou_read`).  The sampler keeps each
-    table it builds while the kept tables fit in OU_TABLE_BYTES; past that, a
-    draw builds its table and drops it.
+    q = min(v, n - v) (`_ou_table`, `_ou_read`), an ou-euclid draw off the
+    start-1 matching of its shift v, rotated to the start (`_euclid_table`).
+    The sampler keeps each table it builds while the kept tables fit in
+    OU_TABLE_BYTES; past that, a draw builds its table and drops it.
     """
 
     families = ("ou-equidyn", "ou-equidyn-euclid")
 
     def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None):
         super().__init__(spec, basis_index)
-        self._tables: dict[int, np.ndarray] = {}
+        self._tables: dict = {}   # by q: an `_ou_table`; by v: an `_euclid_table`
         # a chunk of `integers(0, len(values))` then `integers(1, n + 1)`, one row per draw
         self._bounds = (0, 1), np.tile((len(basis_index or ()), spec.n + 1), (_CHUNK, 1))
 
@@ -588,7 +602,15 @@ class OuEquiDynSampler(DynSampler):
     def _matching(self, v: int, s: int) -> GossipMatrix:
         n = self.n
         if self.family == "ou-equidyn-euclid":
-            return _lazy_one_peer(_euclid_partners(v, s, n), self.spec.eta, self.family, (v,))
+            table = self._tables.get(v)
+            if table is None:
+                table = _euclid_table(v, self._labels)
+                if (len(self._tables) + 1) * table[0].nbytes <= OU_TABLE_BYTES:
+                    self._tables[v] = table
+            r = s - 1
+            rotated = self._labels[r:]
+            partner, idle = rotated[table[0][n - r:2 * n - r]], rotated[table[1]]
+            return GossipMatrix(n, None, self.family, (v,), OnePeer(partner, *self._weights, idle))
         q = min(v, n - v)
         table = self._tables.get(q)
         if table is None:

@@ -425,6 +425,7 @@ def test_dsgt_sidecar_names_each_diverged_trial_and_iteration(tmp_path):
     assert without_out(tmp_path / "t.csv.meta") == without_out(tmp_path / "replay.csv.meta")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dsgd_divergence_before_first_record(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code = run_cli(["dsgd", "--family", "ring", "--n", "10", "--iters", "3",
@@ -436,6 +437,27 @@ def test_dsgd_divergence_before_first_record(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "no finite record [diverged]" in captured.out
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dsgd", "--problem", "least-squares", "--family", "ring", "--n", "2000", "--iters", "5",
+     "--trials", "1"],
+    ["consensus", "--family", "ring", "--n", "100000", "--iters", "5", "--trials", "1"],
+], ids=["dsgd-least-squares", "consensus"])
+def test_same_bytes_at_one_and_two_blas_threads(argv, tmp_path):
+    # OpenBLAS splits a long dot product across threads, which changes its rounding;
+    # at these sizes a loss or residual summed by BLAS `ddot` differs between the two
+    src = str(Path(equitopo.cli.__file__).parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "equitopo.cli", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("seed", range(6))

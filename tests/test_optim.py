@@ -11,6 +11,7 @@ from scipy import sparse
 from scipy.special import expit
 
 import equitopo as eq
+import equitopo.optim
 from equitopo.optim import _expit_neg, _softplus_neg
 
 from oracles import (central_difference_gradient, gradient_descent_path, kernel_global_grad,
@@ -320,6 +321,13 @@ def test_dsgt_identity_zero_step_freezes_state():
     assert np.array_equal(out.y, state.y)
 
 
+def test_dsgd_requires_the_state_gradients(ls_problem):
+    state = eq.OptState(x=np.zeros((8, 5)))
+    w = eq.build_topology(eq.TopologySpec("ring", 8))
+    with pytest.raises(eq.ParameterError, match="init_state"):
+        eq.dsgd_step(state, w, 0.1, ls_problem, np.random.default_rng(0))
+
+
 def test_dsgt_requires_initialized_tracking(ls_problem):
     state = eq.OptState(x=np.zeros((8, 5)))
     w = eq.build_topology(eq.TopologySpec("ring", 8))
@@ -351,6 +359,80 @@ def test_dsgd_gradient_norm_decreases_on_least_squares():
 
 # ---------------------------------------------------------------- run driver
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["least-squares", "logistic"])
+@pytest.mark.parametrize("seed", range(4))
+def test_views_are_what_evaluate_returns(kind, seed):
+    # grads_all, global_grad and loss run the kernel every step runs, so the
+    # kernel tests above check it; the record sits at the rows' mean
+    rng = np.random.default_rng(seed)
+    n, d = 7, 5
+    p = random_problem(kind, n, 30, d, rng)
+    x_rows = rng.standard_normal((n, d))
+    grads, (grad_norm_sq, loss, residual) = p.evaluate(x_rows)
+    xbar = x_rows.mean(axis=0)
+    g = p.global_grad(xbar)
+    assert np.array_equal(bits(p.grads_all(x_rows)), bits(grads))
+    assert bits(float(g @ g)) == bits(grad_norm_sq)
+    assert bits(p.loss(xbar)) == bits(loss)
+    assert bits(np.sqrt(np.square(x_rows - xbar).sum())) == bits(residual)
+    assert abs(residual - np.linalg.norm(x_rows - xbar)) <= 4 * EPS * residual
+    state = eq.init_state("dsgd", p, x_rows[0], None)
+    grads, record = p.evaluate(np.tile(x_rows[0], (n, 1)))
+    assert np.array_equal(bits(state.grads), bits(grads)) and state.record == record
+
+
+def small_problem(kind, sigma_n=1.0):
+    if kind == "least-squares":
+        return eq.make_least_squares(10, 4, 12, 0.1, sigma_n, np.random.default_rng(31))
+    return eq.make_logistic_ncvx(10, 4, 12, 0.01, 0.2, sigma_n, np.random.default_rng(31))
+
+
+@pytest.mark.parametrize("kind", ["least-squares", "logistic"])
+@pytest.mark.parametrize("algorithm", eq.optim.ALGORITHMS)
+def test_records_of_a_run_begin_every_longer_run(algorithm, kind):
+    p = small_problem(kind)
+    spec = eq.TopologySpec("ou-equidyn", 10, m=9, seed=0)
+    sched = eq.StepSchedule(0.05, 1.4, 10)
+    short = eq.run(algorithm, p, spec, sched, iters=20, trials=2, master_seed=3)
+    longer = eq.run(algorithm, p, spec, sched, iters=27, trials=2, master_seed=3)
+    for rs, rl in zip(short.records, longer.records):
+        for key in ("grad_norm_sq", "loss", "consensus_residual"):
+            assert rs[key].size == 21 and rl[key].size == 28
+            assert np.array_equal(bits(rs[key]), bits(rl[key][:21]))
+
+
+@pytest.mark.parametrize("gamma0", [0.05, 100.0], ids=["finite", "diverging"])
+@pytest.mark.parametrize("algorithm", eq.optim.ALGORITHMS)
+def test_trial_noise_generator_ends_after_one_draw_per_step(algorithm, gamma0, monkeypatch):
+    # one (n, d) draw per step, plus dsgt's first gradients: the draws of the
+    # loop that recorded before it stepped
+    made = []
+
+    def spy(*args):
+        rng = eq.make_rng(*args)
+        if args[1:] == ("noise",):
+            made.append((args[0], rng))
+        return rng
+
+    monkeypatch.setattr(equitopo.optim, "make_rng", spy)
+    p = small_problem("least-squares")
+    trace = eq.run(algorithm, p, eq.TopologySpec("ring", 10, seed=0), eq.StepSchedule(gamma0),
+                   iters=200, trials=2, master_seed=4)
+    assert trace.diverged == (gamma0 == 100.0)
+    assert len(made) == 2
+    for trial, (tseed, rng) in enumerate(made):
+        recorded = trace.records[trial]["loss"].size
+        steps = recorded if trial in trace.diverged_trials else recorded - 1
+        twin = eq.make_rng(tseed, "noise")
+        for _ in range(steps + (algorithm == "dsgt")):
+            twin.standard_normal((p.n, p.d))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_run_is_deterministic():
     p = eq.make_least_squares(10, 4, 12, 0.1, 1.0, np.random.default_rng(28))
     spec = eq.TopologySpec("od-equidyn", 10, m=9, seed=0)
@@ -362,6 +444,7 @@ def test_run_is_deterministic():
             assert np.array_equal(ra[key], rb[key])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_truncates_and_flags_divergence():
     p = eq.make_least_squares(8, 4, 10, 0.1, 0.0, np.random.default_rng(29))
     spec = eq.TopologySpec("ring", 8, seed=0)

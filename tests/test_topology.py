@@ -16,7 +16,7 @@ from equitopo.output import atomic_write
 
 from equitopo.topology import (DYNAMIC_FAMILIES, EQUI_DYNAMIC_FAMILIES, FAMILIES,
                                STATIC_FAMILIES, CELL_BYTES, CSV_BLOCK, _circulant, _exp_hops,
-                               _lattice, _lazy_weights, _ou_partners)
+                               _euclid_partners, _lattice, _lazy_weights, _ou_partners)
 
 from oracles import (circulant_column, circulant_coo, euclid_matching, hop_permutation,
                      hypercube_by_axis_fold, hypercube_edge_set, lattice_edge_set,
@@ -396,6 +396,28 @@ def test_ou_sampler_tables_give_the_scan_matching(budget, monkeypatch):
         v = basis.values[int(twin.integers(0, len(basis)))]
         s = int(twin.integers(1, n + 1))
         assert_draw_is_scan_matching(sampler.sample(), v, s, n)
+
+
+@pytest.mark.parametrize("budget", ["default", 0])
+def test_ou_euclid_sampler_tables_give_the_euclid_matching(budget, monkeypatch):
+    """Every (v, s) at n = 2..40 and 97: a draw read off the kept start-1 table of v, rotated
+    to the start, has the partners of `_euclid_partners(v, s, n)` and, as its idle rows,
+    those pointing to themselves; with a budget of 0 the table is built and dropped."""
+    if budget == 0:
+        monkeypatch.setattr(equitopo.topology, "OU_TABLE_BYTES", 0)
+    for n in [*range(2, 41), 97]:
+        sampler = eq.OuEquiDynSampler(spec_for("ou-equidyn-euclid", n, eta=0.3),
+                                      eq.complete_basis(n).with_reversals())
+        for v in range(1, n):
+            for s in range(1, n + 1):
+                w, expected = sampler._matching(v, s), _euclid_partners(v, s, n)
+                one_peer = w.structure
+                assert np.array_equal(one_peer.partner, expected), (n, v, s)
+                assert sorted(one_peer.idle.tolist()) == \
+                    np.flatnonzero(expected == np.arange(n)).tolist(), (n, v, s)
+                assert (one_peer.off, one_peer.diag) == _lazy_weights(n, 0.3)
+                assert (w.family, w.basis_index) == ("ou-equidyn-euclid", (v,))
+        assert len(sampler._tables) == (0 if budget == 0 else n - 1)
 
 
 @pytest.mark.parametrize("n,budget", [(100000, None), (1000, 5 * 16000), (1000, 16000 - 1)])
