@@ -240,29 +240,42 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisIndex:
     """Multiset of shift values, each in [1, n-1]; duplicates are allowed.
 
-    A reverse shift -u is stored canonically as n - u, since shifting by n - u
-    traverses every edge of the shift-u graph in the opposite direction.
+    The shifts are one read-only int64 array; an int64 array handed in
+    becomes the basis's own and is frozen, with no copy.  `values` builds
+    the tuple of Python ints on read.  A reverse shift -u is stored
+    canonically as n - u, since shifting by n - u traverses every edge of
+    the shift-u graph in the opposite direction.
     """
 
-    values: tuple[int, ...]
+    shifts: np.ndarray
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        for v in self.values:
-            if not 1 <= v <= self.n - 1:
-                raise ParameterError(f"basis value {v} outside [1, {self.n - 1}]")
+        shifts, n = np.asarray(self.shifts, dtype=np.int64), self.n
+        shifts.flags.writeable = False
+        object.__setattr__(self, "shifts", shifts)
+        if shifts.size and (shifts.min() < 1 or shifts.max() > n - 1):
+            v = shifts[np.argmax((shifts < 1) | (shifts > n - 1))]
+            raise ParameterError(f"basis value {v} outside [1, {n - 1}]")
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.shifts.tolist())
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.shifts.size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BasisIndex) and self.n == other.n and \
+            np.array_equal(self.shifts, other.shifts)
 
     def with_reversals(self) -> "BasisIndex":
         """Append the reverse shift n - u for every stored value."""
-        return BasisIndex(self.values + tuple(self.n - v for v in self.values), self.n)
+        return BasisIndex(np.concatenate((self.shifts, self.n - self.shifts)), self.n)
 
 
 @dataclass(frozen=True)
@@ -312,11 +325,6 @@ def _check_column(n: int, family: str) -> None:
     _check_memory(8 * n, f"an n = {n} {family} matrix's column holds {n} weights, {8 * n} bytes")
 
 
-def _check_basis_value(u: int, n: int) -> None:
-    if not 1 <= u <= n - 1:
-        raise ParameterError(f"shift {u} outside [1, {n - 1}]")
-
-
 def _lazy_weights(n: int, eta: float) -> tuple[float, float]:
     """`off` and `diag` of a paired row of (1 - eta) I + eta A, A giving (n-1)/n to the
     partner and keeping 1/n.  An idle row keeps (1 - eta) + eta, which rounds to exactly 1.0
@@ -337,7 +345,7 @@ def _lazy_one_peer(src, eta: float, family: str, basis_index) -> GossipMatrix:
 
 def basis_matrix(u: int, n: int) -> GossipMatrix:
     """One-peer shift matrix: node j sends to (j + u) % n with weight (n-1)/n, keeps 1/n."""
-    _check_basis_value(u, n)
+    BasisIndex((u,), n)   # refuses a shift outside [1, n - 1]
     partner = (np.arange(n) - u) % n
     return GossipMatrix(n, None, "basis", (u,), OnePeer(partner, 1.0 - 1.0 / n, 1.0 / n))
 
@@ -364,13 +372,13 @@ def build_d_equistatic(spec: TopologySpec) -> tuple[GossipMatrix, BasisIndex]:
     m = spec.m if spec.m is not None else default_basis_count(n, spec.rho, spec.p)
     best_w, best_value = None, np.inf
     for _ in range(RESAMPLE_CAP):
-        values = tuple(int(v) for v in rng.integers(1, n, size=m))
-        c = np.bincount(values, minlength=n) * ((1.0 - 1.0 / n) / m)
+        basis = BasisIndex(rng.integers(1, n, size=m), n)
+        c = np.bincount(basis.shifts, minlength=n) * ((1.0 - 1.0 / n) / m)
         c[0] = 1.0 / n
-        w = _circulant(c, "d-equistatic", values)
+        w = _circulant(c, "d-equistatic", basis.values)
         est = consensus_factor(w)
         if est.value <= spec.rho:
-            return w, BasisIndex(values, n)
+            return w, basis
         if est.value < best_value:
             best_w, best_value = w, est.value
     raise ConstructionError(
@@ -398,7 +406,7 @@ def build_u_equistatic(w: GossipMatrix) -> tuple[GossipMatrix, BasisIndex]:
 
 
 def _check_start(v: int, s: int, n: int) -> None:
-    _check_basis_value(v, n)
+    BasisIndex((v,), n)
     if not 1 <= s <= n:
         raise ParameterError(f"start {s} outside [1, {n}]")
 
@@ -411,17 +419,18 @@ def _doubled_labels(n: int) -> np.ndarray:
     return labels
 
 
-def _ou_table(q: int, labels: np.ndarray) -> np.ndarray:
-    """The partners of the greedy scan's matching of hop q from node 0, twice over.
+def _ou_table(q: int, labels: np.ndarray) -> tuple[np.ndarray, slice]:
+    """The partners of the greedy scan's matching of hop q from node 0, twice over, and its
+    run of idle offsets, read with `_read`.
 
     Count offsets k forward from a matching's first node: the node at offset
     k pairs with the node q ahead when k // q is even and q behind when it
     is odd, the pattern +q (q times), -q (q times), ... cut to n.  The last
     q offsets close their residue class mod q; a +q there would leave the
-    ring, so those nodes are idle, their own partners.  No partner leaves
-    [0, n), and the table holds the n partners twice, so the partners of
-    nodes 0..n-1 at any rotation are one slice of it.  `labels` are the
-    doubled node labels.
+    ring, so those nodes are idle, their own partners: the offsets [a, b),
+    the last q whose k // q is even, one run.  No partner leaves [0, n), and
+    the table holds the n partners twice, so the partners of nodes 0..n-1 at
+    any rotation are one slice of it.  `labels` are the doubled node labels.
     """
     n = labels.size // 2
     hop = np.empty((-(-n // (2 * q)), 2, q), dtype=np.int64)
@@ -429,34 +438,38 @@ def _ou_table(q: int, labels: np.ndarray) -> np.ndarray:
     partner = hop.reshape(-1)[:n]
     np.minimum(partner[n - q:], 0, out=partner[n - q:])
     partner += labels[:n]
-    return np.concatenate((partner, partner))
+    end = ((n - q) // q + 1) * q   # the end of the block offset n - q falls in, <= n
+    return np.concatenate((partner, partner)), slice(n - q, end) if end // q % 2 else slice(end, n)
 
 
-def _ou_read(table: np.ndarray, labels: np.ndarray, v: int, s: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The partners and the idle rows of the matching of shift v from 1-based start s, read
-    off `_ou_table` of q = min(v, n - v) and the doubled labels.
+def _ou_rotation(v: int, s: int, n: int) -> tuple[int, int]:
+    """The hop q = min(v, n - v) of the matching of shift v from 1-based start s, and the
+    rotation r at which `_read` reads the table of q: the offsets count from node s - 1
+    (q = v) or from its first partner s - 1 - q (q = n - v), so node i sits at (i + r) % n."""
+    q = min(v, n - v)
+    return q, ((0 if q == v else q) + 1 - s) % n
 
-    The offsets count from node s - 1 (q = v) or from its first partner
-    s - 1 - q (q = n - v), so node i sits at offset k = (i + r) % n.  Its
-    partner is node (table[k] - r) % n, which is labels[n - r + table[k]]:
-    one gather from the labels viewed at n - r, indexed by the table viewed
-    at r.  The idle offsets [a, b) are the last q whose k // q is even, one
-    run, so the idle rows are the labels' view at n - r + a.
+
+def _read(table: tuple, labels: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The partners and the idle rows of the matching whose node i sits at offset
+    k = (i + r) % n of `table`, its partners' offsets twice over and its idle offsets.
+
+    Node i's partner is node (table[k] - r) % n, which is labels[n - r +
+    table[k]]: one gather from the labels viewed at n - r, indexed by the
+    partners viewed at r.  The idle rows are the labels at n - r indexed by
+    the idle offsets, a view where those are a slice (`_ou_table`).
     """
     n = labels.size // 2
-    q, shift = (v, 0) if 2 * v <= n else (n - v, n - v)
-    r = (shift - (s - 1)) % n
-    end = ((n - q) // q + 1) * q   # the end of the block offset n - q falls in, <= n
-    a, b = (n - q, end) if end // q % 2 else (end, n)
-    return labels[n - r:][table[r:r + n]], labels[n - r + a:n - r + b]
+    rotated = labels[n - r:]
+    return rotated[table[0][r:r + n]], rotated[table[1]]
 
 
 def _ou_partners(v: int, s: int, n: int) -> np.ndarray:
     """The greedy scan's matching for shift v and 1-based start s: the sampler's rule,
-    `_ou_read` of the table of q = min(v, n - v), with a table built for this call."""
+    `_read` of the table of q = min(v, n - v), with a table built for this call."""
     labels = _doubled_labels(n)
-    return _ou_read(_ou_table(min(v, n - v), labels), labels, v, s)[0]
+    q, r = _ou_rotation(v, s, n)
+    return _read(_ou_table(q, labels), labels, r)[0]
 
 
 def _euclid_partners(v: int, s: int, n: int) -> np.ndarray:
@@ -472,10 +485,9 @@ def _euclid_partners(v: int, s: int, n: int) -> np.ndarray:
 def _euclid_table(v: int, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The start-1 partners of `_euclid_partners` twice over, and its idle rows.
 
-    Shifting the start by r moves every sweep position by r nodes, so the
-    start-s matching is this one rotated by r = s - 1: node i pairs with
-    (p[(i - r) % n] + r) % n, and the idle rows are (idle + r) % n.  Read
-    with `_ou_read`'s views at r (`OuEquiDynSampler._matching`).
+    Shifting the start by s - 1 moves every sweep position by s - 1 nodes, so
+    node i of the start-s matching sits where node (i + r) % n, r = (1 - s) %
+    n, sits in this one: `_read` at r gives its partners and idle rows.
     """
     n = labels.size // 2
     partner = _euclid_partners(v, 1, n)
@@ -549,11 +561,13 @@ class DynSampler:
     def _labels(self) -> np.ndarray:   # built on the first draw
         return _doubled_labels(self.n)
 
-    def _draw(self):   # the next draw's integers: a basis index (od), an index and a start (ou)
+    def _draw(self) -> list[int]:   # the next draw's shift, then (ou) its start
         if not self._chunk:
             if self.basis_index is None or len(self.basis_index) == 0:
                 raise ParameterError("sampler holds an empty basis index")
-            self._chunk = self.rng.integers(*self._bounds).tolist()[::-1]
+            draws = self.rng.integers(*self._bounds)   # a basis index, then (ou) a start
+            draws[:, 0] = self.basis_index.shifts[draws[:, 0]]
+            self._chunk = draws.tolist()[::-1]
         return self._chunk.pop()
 
     def _shift(self, v: int, off: float, diag: float, basis_index) -> GossipMatrix:
@@ -568,23 +582,23 @@ class OdEquiDynSampler(DynSampler):
     families = ("od-equidyn",)
 
     @functools.cached_property
-    def _bounds(self) -> tuple:   # a chunk of `integers(0, len(values))`
-        return 0, np.full(_CHUNK, len(self.basis_index))
+    def _bounds(self) -> tuple:   # a chunk of `integers(0, len(basis_index))`, one row per draw
+        return 0, np.full((_CHUNK, 1), len(self.basis_index))
 
     def sample(self) -> GossipMatrix:
-        i = self._draw()
-        v = self.basis_index.values[i]
+        v, = self._draw()
         return self._shift(v, *self._weights, (v,))
 
 
 class OuEquiDynSampler(DynSampler):
     """Draws (v, s): (1-eta) I + eta A for the one-peer matching of shift v from start s.
 
-    An ou draw reads its partners and idle rows off the table of the hop
-    q = min(v, n - v) (`_ou_table`, `_ou_read`), an ou-euclid draw off the
-    start-1 matching of its shift v, rotated to the start (`_euclid_table`).
-    The sampler keeps each table it builds while the kept tables fit in
-    OU_TABLE_BYTES; past that, a draw builds its table and drops it.
+    A draw reads its partners and idle rows with `_read` off one kept table:
+    an ou draw's of the hop q = min(v, n - v) (`_ou_table`, `_ou_rotation`),
+    an ou-euclid draw's of the start-1 matching of its shift v
+    (`_euclid_table`).  The sampler keeps each table it builds while every
+    array of the kept tables fits in OU_TABLE_BYTES; past that, a draw builds
+    its table and drops it.
     """
 
     families = ("ou-equidyn", "ou-equidyn-euclid")
@@ -592,32 +606,23 @@ class OuEquiDynSampler(DynSampler):
     def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None):
         super().__init__(spec, basis_index)
         self._tables: dict = {}   # by q: an `_ou_table`; by v: an `_euclid_table`
-        # a chunk of `integers(0, len(values))` then `integers(1, n + 1)`, one row per draw
+        self._kept = 0   # the bytes of the arrays in `_tables`
+        # a chunk of `integers(0, len(basis_index))` then `integers(1, n + 1)`, one row per draw
         self._bounds = (0, 1), np.tile((len(basis_index or ()), spec.n + 1), (_CHUNK, 1))
 
     def sample(self) -> GossipMatrix:
-        i, s = self._draw()
-        return self._matching(self.basis_index.values[i], s)
+        return self._matching(*self._draw())
 
     def _matching(self, v: int, s: int) -> GossipMatrix:
-        n = self.n
-        if self.family == "ou-equidyn-euclid":
-            table = self._tables.get(v)
-            if table is None:
-                table = _euclid_table(v, self._labels)
-                if (len(self._tables) + 1) * table[0].nbytes <= OU_TABLE_BYTES:
-                    self._tables[v] = table
-            r = s - 1
-            rotated = self._labels[r:]
-            partner, idle = rotated[table[0][n - r:2 * n - r]], rotated[table[1]]
-            return GossipMatrix(n, None, self.family, (v,), OnePeer(partner, *self._weights, idle))
-        q = min(v, n - v)
-        table = self._tables.get(q)
+        n, euclid = self.n, self.family == "ou-equidyn-euclid"
+        key, r = (v, (1 - s) % n) if euclid else _ou_rotation(v, s, n)
+        table = self._tables.get(key)
         if table is None:
-            table = _ou_table(q, self._labels)
-            if (len(self._tables) + 1) * table.nbytes <= OU_TABLE_BYTES:
-                self._tables[q] = table
-        partner, idle = _ou_read(table, self._labels, v, s)
+            table = (_euclid_table if euclid else _ou_table)(key, self._labels)
+            size = sum(a.nbytes for a in table if isinstance(a, np.ndarray))
+            if self._kept + size <= OU_TABLE_BYTES:
+                self._tables[key], self._kept = table, self._kept + size
+        partner, idle = _read(table, self._labels, r)
         return GossipMatrix(n, None, self.family, (v,), OnePeer(partner, *self._weights, idle))
 
 
@@ -703,7 +708,7 @@ def _lattice(shape: tuple[int, ...], cyclic: bool, family: str) -> GossipMatrix:
 
 def complete_basis(n: int) -> BasisIndex:
     """The full shift set {1, ..., n-1}, whose average is the all-1/n matrix."""
-    return BasisIndex(tuple(range(1, n)), n)
+    return BasisIndex(np.arange(1, n), n)
 
 
 def _dynamic_basis(spec: TopologySpec) -> BasisIndex:

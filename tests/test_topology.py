@@ -100,6 +100,21 @@ def test_complete_basis_average_is_uniform():
     assert np.abs(uniform_shift_average(n).toarray() - 1.0 / n).max() <= 1e-15
 
 
+def test_complete_basis_holds_no_python_object_per_shift():
+    """The complete basis and its reversals are int64 arrays, built with no copy of an array
+    the basis owns: at n = 10^6 the numpy buffers peak at 32 MB, where a tuple of Python
+    ints per shift peaked at 105 MB."""
+    tracemalloc.start()
+    try:
+        basis = eq.complete_basis(10**6).with_reversals()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+    assert basis.shifts.dtype == np.int64 and not basis.shifts.flags.writeable
+    assert len(basis) == 2 * (10**6 - 1) and basis.shifts[-1] == 1
+
+
 def test_build_d_equistatic_meets_target():
     spec = eq.TopologySpec("d-equistatic", 60, rho=0.5, p=0.5, seed=4)
     w, basis = eq.build_d_equistatic(spec)
@@ -420,18 +435,36 @@ def test_ou_euclid_sampler_tables_give_the_euclid_matching(budget, monkeypatch):
         assert len(sampler._tables) == (0 if budget == 0 else n - 1)
 
 
-@pytest.mark.parametrize("n,budget", [(100000, None), (1000, 5 * 16000), (1000, 16000 - 1)])
-def test_ou_sampler_keeps_its_tables_within_the_budget(n, budget, monkeypatch):
+def tables_kept_in_budget(family, n, budget, monkeypatch):
+    """Run 40 draws of a complete-basis sampler with its table budget set to `budget` (None:
+    the default), checking after each that every array its kept tables hold fits."""
     if budget is not None:
         monkeypatch.setattr(equitopo.topology, "OU_TABLE_BYTES", budget)
     budget = equitopo.topology.OU_TABLE_BYTES
-    sampler = eq.OuEquiDynSampler(spec_for("ou-equidyn", n, seed=1),
+    sampler = eq.OuEquiDynSampler(spec_for(family, n, seed=1),
                                   eq.complete_basis(n).with_reversals())
     for _ in range(40):
         sampler.sample()
-        kept = sum(table.nbytes for table in sampler._tables.values())
+        kept = sum(a.nbytes for table in sampler._tables.values() for a in table
+                   if isinstance(a, np.ndarray))
         assert kept <= budget
+    return sampler, budget
+
+
+@pytest.mark.parametrize("n,budget", [(100000, None), (1000, 5 * 16000), (1000, 16000 - 1)])
+def test_ou_sampler_keeps_its_tables_within_the_budget(n, budget, monkeypatch):
+    """An ou table holds its 16 n bytes of partners; its idle run is a slice."""
+    sampler, budget = tables_kept_in_budget("ou-equidyn", n, budget, monkeypatch)
     assert len(sampler._tables) == budget // (16 * n)   # 40 draws meet more distinct q than fit
+
+
+@pytest.mark.parametrize("budget", [16 * 999, 5 * 16 * 999])
+def test_ou_euclid_sampler_counts_its_idle_rows_in_the_budget(budget, monkeypatch):
+    """A euclid table holds 16 n bytes of partners and gcd(v, n) idle rows wherever n / gcd
+    is odd: at every v for n = 999, up to 333 of them at v = 333.  So a budget of k
+    partner arrays keeps k - 1 tables (4 tables take at most 4 (16 n + 8 n / 3) bytes)."""
+    sampler, budget = tables_kept_in_budget("ou-equidyn-euclid", 999, budget, monkeypatch)
+    assert len(sampler._tables) == budget // (16 * 999) - 1
 
 
 @pytest.mark.parametrize("bounds", [((0, 89), (1, 1000)), ((0, 49), (1, 50)), ((0, 1), (1, 2)),
@@ -783,7 +816,11 @@ def test_hypercube_requires_power_of_two():
     (lambda: eq.build_u_equistatic(eq.build_topology(eq.TopologySpec("ring", 6))),
      "no basis index"),
     (lambda: eq.ou_scan_matrix(2, 0, 6), "start 0"),
-], ids=["basis-value-out-of-range", "u-equistatic-without-basis", "ou-scan-start-0"])
+    (lambda: eq.BasisIndex(np.array([3, 7, 0]), 5), r"basis value 7 outside \[1, 4\]"),
+    (lambda: eq.basis_matrix(6, 6), "basis value 6"),
+    (lambda: eq.ou_equidyn_euclid(0, 1, 6), "basis value 0"),
+], ids=["basis-value-out-of-range", "u-equistatic-without-basis", "ou-scan-start-0",
+        "first-basis-value-out-of-range", "basis-matrix-shift-6", "ou-euclid-shift-0"])
 def test_parameter_errors(call, match):
     with pytest.raises(eq.ParameterError, match=match):
         call()
