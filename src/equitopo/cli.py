@@ -256,7 +256,8 @@ def _cmd_topo_build(config: ExperimentConfig) -> int:
     est = consensus_factor(w)
     path = _out_path(config)
     meta = {"rho_target": config.rho, "rho_measured": est.value, "method": est.method,
-            "basis_index": w.basis_index, "rho_tolerance": est.tolerance_or_stderr}
+            "basis_index": None if w.basis_index is None else list(w.basis_index),
+            "rho_tolerance": est.tolerance_or_stderr}
     atomic_write(path, matrix_csv_text(w))   # a refused export raises before the temp file
     _write_sidecar(config, path, meta)
     print(f"built {config.family} n={config.n} rho_measured={est.value!r} -> {path}")

@@ -123,17 +123,20 @@ class GossipMatrix:
     arrays of either are assembled on the first read of `csr`, and its scipy
     CSR on the first read of `mat`.  A lattice is handed its CSR.  `mix`
     gathers from a one-peer partner array and multiplies by any other
-    matrix's CSR.
+    matrix's CSR.  `basis_index` tags an equi-static matrix with its basis's
+    read-only `shifts`, no copy, and a draw with its shift, `(v,)`.
     """
 
     def __init__(self, n: int, mat: sparse.csr_array | None, family: str,
-                 basis_index: tuple[int, ...] | None = None,
+                 basis_index: np.ndarray | tuple[int, ...] | None = None,
                  structure: Circulant | OnePeer | Grid | None = None):   # None: built elsewhere
         if mat is None and not (isinstance(structure, OnePeer) or
                                 (isinstance(structure, Circulant) and structure.column.ndim == 1)):
             raise ParameterError("only a one-peer or cyclic circulant matrix is built "
                                  "without its CSR")
-        vars(self).update(n=n, family=family, basis_index=basis_index, structure=structure)
+        attrs = vars(self)   # item by item: a keyword dict costs a one-peer draw ~10 %
+        attrs["n"], attrs["family"], attrs["basis_index"], attrs["structure"] = \
+            n, family, basis_index, structure
         if mat is not None:
             _frozen(mat.data, mat.indices, mat.indptr)
             vars(self)["mat"] = mat
@@ -245,18 +248,21 @@ class BasisIndex:
     """Multiset of shift values, each in [1, n-1]; duplicates are allowed.
 
     The shifts are one read-only int64 array; an int64 array handed in
-    becomes the basis's own and is frozen, with no copy.  `values` builds
-    the tuple of Python ints on read.  A reverse shift -u is stored
-    canonically as n - u, since shifting by n - u traverses every edge of
-    the shift-u graph in the opposite direction.
+    becomes the basis's own and is frozen, with no copy.  Values that are
+    not integers (floats, strings, bools) are refused, not truncated.
+    `values` builds the tuple of Python ints on read.  A reverse shift -u is
+    stored canonically as n - u, since shifting by n - u traverses every
+    edge of the shift-u graph in the opposite direction.
     """
 
     shifts: np.ndarray
     n: int
 
     def __post_init__(self):
-        shifts, n = np.asarray(self.shifts, dtype=np.int64), self.n
-        shifts.flags.writeable = False
+        shifts, n = np.asarray(self.shifts), self.n
+        if shifts.size and shifts.dtype.kind not in "iu":
+            raise ParameterError(f"basis values must be integers, not {shifts.dtype}")
+        shifts, = _frozen(shifts.astype(np.int64, copy=False))
         object.__setattr__(self, "shifts", shifts)
         if shifts.size and (shifts.min() < 1 or shifts.max() > n - 1):
             v = shifts[np.argmax((shifts < 1) | (shifts > n - 1))]
@@ -375,7 +381,7 @@ def build_d_equistatic(spec: TopologySpec) -> tuple[GossipMatrix, BasisIndex]:
         basis = BasisIndex(rng.integers(1, n, size=m), n)
         c = np.bincount(basis.shifts, minlength=n) * ((1.0 - 1.0 / n) / m)
         c[0] = 1.0 / n
-        w = _circulant(c, "d-equistatic", basis.values)
+        w = _circulant(c, "d-equistatic", basis.shifts)
         est = consensus_factor(w)
         if est.value <= spec.rho:
             return w, basis
@@ -402,11 +408,13 @@ def build_u_equistatic(w: GossipMatrix) -> tuple[GossipMatrix, BasisIndex]:
     c = w.structure.column
     signed = BasisIndex(w.basis_index, w.n).with_reversals()
     c = (c + c[-np.arange(w.n) % w.n]) * 0.5
-    return _circulant(c, "u-equistatic", signed.values), signed
+    return _circulant(c, "u-equistatic", signed.shifts), signed
 
 
 def _check_start(v: int, s: int, n: int) -> None:
     BasisIndex((v,), n)
+    if np.asarray(s).dtype.kind not in "iu":
+        raise ParameterError(f"start must be an integer, not {s!r}")
     if not 1 <= s <= n:
         raise ParameterError(f"start {s} outside [1, {n}]")
 
@@ -414,9 +422,7 @@ def _check_start(v: int, s: int, n: int) -> None:
 def _doubled_labels(n: int) -> np.ndarray:
     """The node labels twice over, read-only: (i - v) % n sits at [n - v + i], so the
     partners of the shift v are the view [n - v:2 * n - v]."""
-    labels = np.arange(2 * n) % n
-    labels.flags.writeable = False
-    return labels
+    return _frozen(np.arange(2 * n) % n)[0]
 
 
 def _ou_table(q: int, labels: np.ndarray) -> tuple[np.ndarray, slice]:
@@ -532,16 +538,36 @@ def ou_equidyn_euclid(v: int, s: int, n: int) -> GossipMatrix:
     return _lazy_one_peer(_euclid_partners(v, s, n), 1.0, "ou-matching-euclid", (v,))
 
 
+def _exp_hops(n: int) -> list[int]:
+    """The hops 2^k, k = 0..floor(log2(n - 1)), of the exponential graphs: every power of
+    two below n.  The exponent comes from the integer's bit length; a float log2 rounds
+    2^k - 1 up to k for k >= 49."""
+    return [1 << k for k in range((n - 1).bit_length())]
+
+
 class DynSampler:
     """Stateful per-iteration generator of one-peer weight matrices.
 
     Single-owner: concurrent experiments should hold independent samplers with
     distinct seeds.  Given identical (spec, seed) the emitted sequence is
-    identical across runs.  A subclass's `sample` makes each draw, a
-    `GossipMatrix` built from its partner array alone; a shift draw's
-    partners, and an ou draw's idle rows, are read-only views of the
-    sampler's doubled labels.  An od or ou sampler makes _CHUNK draws' `integers` calls
-    as one, with the same values and end state, so `rng` runs up to a chunk ahead of `sample`.
+    identical across runs.  `sample` is the one draw: it pops the next
+    draw's integers off `_chunk`, which `_refill` refills when it is empty,
+    and hands them to the family's partner rule, chosen when the sampler is
+    built.  The rule makes a `GossipMatrix` from its partner array alone:
+
+    * od-equidyn and one-peer-exp draw a shift v; `_shift` views its
+      partners in the sampler's doubled labels;
+    * ou-equidyn and ou-equidyn-euclid draw a shift v and a start s;
+      `_matching` reads the partners and idle rows off a kept table.
+
+    An od or ou draw is a basis index, mapped to its shift, then (ou) a
+    start; _CHUNK draws' `integers` calls are made as one, with the same
+    values and end state, so `rng` runs up to a chunk ahead of `sample`.
+    One-peer-exp draws hop 2^k, k = t mod (floor(log2(n-1)) + 1), at step
+    t, with lazy weight 1/2; it queues whole cycles, at least _CHUNK steps,
+    and `t` counts the steps queued.  A subclass only declares the families
+    it draws, and binds `sample` in its own namespace, where a tracer that
+    wraps `vars(cls)["sample"]` finds it.
     """
 
     families: tuple[str, ...] = ()
@@ -554,66 +580,55 @@ class DynSampler:
         self.n, self.family = spec.n, spec.family
         self.basis_index = basis_index
         self.rng = make_rng(spec.seed, spec.family, "sampler")
+        self._chunk: list = []   # the rule arguments of the draws queued, the next draw last
+        # the rule by name, not as a bound method, which would tie the sampler, its labels
+        # and its tables into a reference cycle; a replaced `_matching` is called
+        self._rule = "_shift" if spec.family in ("od-equidyn", "one-peer-exp") else "_matching"
+        if spec.family == "one-peer-exp":
+            self.hops, self.t, self._weights = tuple(_exp_hops(spec.n)), 0, (0.5, 0.5)
+            return
         self._weights = _lazy_weights(spec.n, spec.eta)   # (off, diag) of an od or ou draw
-        self._chunk: list = []   # drawn integers not yet used, the next draw last
+        # a chunk of `integers(0, len(basis_index))`, then (ou) `integers(1, n + 1)`, a row a draw
+        k = 1 if spec.family == "od-equidyn" else 2
+        self._bounds = (0, 1)[:k], np.tile((len(basis_index or ()), spec.n + 1)[:k], (_CHUNK, 1))
+        # ou: by q, an `_ou_table`; ou-euclid: by v, an `_euclid_table`; and their arrays' bytes
+        self._tables, self._kept = {}, 0
 
     @functools.cached_property
     def _labels(self) -> np.ndarray:   # built on the first draw
         return _doubled_labels(self.n)
 
-    def _draw(self) -> list[int]:   # the next draw's shift, then (ou) its start
-        if not self._chunk:
-            if self.basis_index is None or len(self.basis_index) == 0:
-                raise ParameterError("sampler holds an empty basis index")
-            draws = self.rng.integers(*self._bounds)   # a basis index, then (ou) a start
-            draws[:, 0] = self.basis_index.shifts[draws[:, 0]]
-            self._chunk = draws.tolist()[::-1]
-        return self._chunk.pop()
+    def sample(self) -> GossipMatrix:
+        return getattr(self, self._rule)(*(self._chunk or self._refill()).pop())
 
-    def _shift(self, v: int, off: float, diag: float, basis_index) -> GossipMatrix:
+    def _refill(self) -> list:   # `_chunk`, refilled with the next draws' rule arguments
+        if self.family == "one-peer-exp":   # its hop cycle, whole cycles from step t
+            self._chunk = [(hop,) for hop in reversed(self.hops)] * -(-_CHUNK // len(self.hops))
+            self.t += len(self._chunk)
+            return self._chunk
+        if self.basis_index is None or len(self.basis_index) == 0:
+            raise ParameterError("sampler holds an empty basis index")
+        draws = self.rng.integers(*self._bounds)   # a basis index, then (ou) a start
+        draws[:, 0] = self.basis_index.shifts[draws[:, 0]]
+        self._chunk = draws.tolist()[::-1]
+        return self._chunk
+
+    def _shift(self, v: int) -> GossipMatrix:
+        """Shift v's draw, node i taking from (i - v) % n: a view of the doubled labels.  An
+        od draw is tagged (v,); a one-peer-exp draw comes from no basis and has no tag."""
         n = self.n
-        partner = self._labels[n - v:2 * n - v]
-        return GossipMatrix(n, None, self.family, basis_index, OnePeer(partner, off, diag))
-
-
-class OdEquiDynSampler(DynSampler):
-    """Draws one shift v from the basis multiset: (1-eta) I + eta A^(v)."""
-
-    families = ("od-equidyn",)
-
-    @functools.cached_property
-    def _bounds(self) -> tuple:   # a chunk of `integers(0, len(basis_index))`, one row per draw
-        return 0, np.full((_CHUNK, 1), len(self.basis_index))
-
-    def sample(self) -> GossipMatrix:
-        v, = self._draw()
-        return self._shift(v, *self._weights, (v,))
-
-
-class OuEquiDynSampler(DynSampler):
-    """Draws (v, s): (1-eta) I + eta A for the one-peer matching of shift v from start s.
-
-    A draw reads its partners and idle rows with `_read` off one kept table:
-    an ou draw's of the hop q = min(v, n - v) (`_ou_table`, `_ou_rotation`),
-    an ou-euclid draw's of the start-1 matching of its shift v
-    (`_euclid_table`).  The sampler keeps each table it builds while every
-    array of the kept tables fits in OU_TABLE_BYTES; past that, a draw builds
-    its table and drops it.
-    """
-
-    families = ("ou-equidyn", "ou-equidyn-euclid")
-
-    def __init__(self, spec: TopologySpec, basis_index: BasisIndex | None = None):
-        super().__init__(spec, basis_index)
-        self._tables: dict = {}   # by q: an `_ou_table`; by v: an `_euclid_table`
-        self._kept = 0   # the bytes of the arrays in `_tables`
-        # a chunk of `integers(0, len(basis_index))` then `integers(1, n + 1)`, one row per draw
-        self._bounds = (0, 1), np.tile((len(basis_index or ()), spec.n + 1), (_CHUNK, 1))
-
-    def sample(self) -> GossipMatrix:
-        return self._matching(*self._draw())
+        return GossipMatrix(n, None, self.family, None if self.basis_index is None else (v,),
+                            OnePeer(self._labels[n - v:2 * n - v], *self._weights))
 
     def _matching(self, v: int, s: int) -> GossipMatrix:
+        """The one-peer matching of shift v from start s, read with `_read` off one kept table.
+
+        An ou draw's table is that of the hop q = min(v, n - v) (`_ou_table`,
+        `_ou_rotation`), an ou-euclid draw's that of the start-1 matching of
+        its shift v (`_euclid_table`).  The sampler keeps each table it
+        builds while every array of the kept tables fits in OU_TABLE_BYTES;
+        past that, a draw builds its table and drops it.
+        """
         n, euclid = self.n, self.family == "ou-equidyn-euclid"
         key, r = (v, (1 - s) % n) if euclid else _ou_rotation(v, s, n)
         table = self._tables.get(key)
@@ -626,27 +641,25 @@ class OuEquiDynSampler(DynSampler):
         return GossipMatrix(n, None, self.family, (v,), OnePeer(partner, *self._weights, idle))
 
 
-def _exp_hops(n: int) -> list[int]:
-    """The hops 2^k, k = 0..floor(log2(n - 1)), of the exponential graphs: every power of
-    two below n.  The exponent comes from the integer's bit length; a float log2 rounds
-    2^k - 1 up to k for k >= 49."""
-    return [1 << k for k in range((n - 1).bit_length())]
+class OdEquiDynSampler(DynSampler):
+    """Draws one shift v from the basis multiset: (1-eta) I + eta A^(v)."""
+
+    families = ("od-equidyn",)
+    sample = DynSampler.sample
+
+
+class OuEquiDynSampler(DynSampler):
+    """Draws (v, s): (1-eta) I + eta A for the one-peer matching of shift v from start s."""
+
+    families = ("ou-equidyn", "ou-equidyn-euclid")
+    sample = DynSampler.sample
 
 
 class OnePeerExpSampler(DynSampler):
     """Cycles hop 2^k, k = t mod (floor(log2(n-1)) + 1), with lazy weight 1/2."""
 
     families = ("one-peer-exp",)
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.hops = tuple(_exp_hops(spec.n))
-        self.t = 0
-
-    def sample(self) -> GossipMatrix:
-        hop = self.hops[self.t % len(self.hops)]
-        self.t += 1
-        return self._shift(hop, 0.5, 0.5, None)
+    sample = DynSampler.sample
 
 
 def _axis_laplacian(m: int, edges: int) -> sparse.csr_array:

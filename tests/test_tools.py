@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from equitopo.topology import DYNAMIC_FAMILIES, TopologySpec, build_topology
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,6 +26,19 @@ def test_every_traced_attribute_is_in_its_owners_own_namespace():
     missing = [(layer, getattr(owner, "__qualname__", owner.__name__), attr)
                for layer, owner, attr, _ in spans.TARGETS if attr not in vars(owner)]
     assert spans.TARGETS and not missing
+
+
+def test_every_dynamic_family_draws_through_one_traced_sample():
+    """`build_topology` returns, for each dynamic family, an instance of a class whose own
+    `sample` the tracer wraps, so every draw is one sample span; and no seam is listed
+    twice, which would wrap a wrapper."""
+    spans = load(ROOT / "perfbench" / "spans.py", "perfbench_spans")
+    owners = {owner for layer, owner, attr, _ in spans.TARGETS
+              if (layer, attr) == (spans.SAMPLE, "sample")}
+    for family in DYNAMIC_FAMILIES:
+        assert type(build_topology(TopologySpec(family, 16, rho=0.9))) in owners, family
+    seams = [(owner, attr) for _, owner, attr, _ in spans.TARGETS]
+    assert len(seams) == len(set(seams))
 
 
 def test_samebytes_finds_one_planted_byte_and_nothing_else(tmp_path):

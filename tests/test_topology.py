@@ -115,6 +115,23 @@ def test_complete_basis_holds_no_python_object_per_shift():
     assert len(basis) == 2 * (10**6 - 1) and basis.shifts[-1] == 1
 
 
+def test_equistatic_matrices_are_tagged_with_their_basis_array():
+    """A d- or u-equistatic matrix's tag is its basis's read-only shift array, no copy: at
+    n = 10^6, m = n - 2 a d-equistatic build holds its column and its shifts, 8 MB each,
+    where a tuple of Python ints per shift held 54 MiB."""
+    n = 10**6
+    tracemalloc.start()
+    try:
+        w, basis = eq.build_d_equistatic(eq.TopologySpec("d-equistatic", n, m=n - 2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 32 << 20, held
+    u, signed = eq.build_u_equistatic(w)
+    assert w.basis_index is basis.shifts and u.basis_index is signed.shifts
+    assert not u.basis_index.flags.writeable
+
+
 def test_build_d_equistatic_meets_target():
     spec = eq.TopologySpec("d-equistatic", 60, rho=0.5, p=0.5, seed=4)
     w, basis = eq.build_d_equistatic(spec)
@@ -819,8 +836,18 @@ def test_hypercube_requires_power_of_two():
     (lambda: eq.BasisIndex(np.array([3, 7, 0]), 5), r"basis value 7 outside \[1, 4\]"),
     (lambda: eq.basis_matrix(6, 6), "basis value 6"),
     (lambda: eq.ou_equidyn_euclid(0, 1, 6), "basis value 0"),
+    (lambda: eq.BasisIndex((1.5, 2.9), 5), "basis values must be integers, not float64"),
+    (lambda: eq.BasisIndex(("3",), 5), "basis values must be integers"),
+    (lambda: eq.basis_matrix(2.7, 5), "basis values must be integers"),
+    (lambda: eq.ou_equidyn_node_view(2.0, 1, 6), "basis values must be integers"),
+    (lambda: eq.ou_scan_matrix(2, 1.5, 6), "start must be an integer, not 1.5"),
+    (lambda: eq.ou_equidyn_euclid(1, "1", 6), "start must be an integer, not '1'"),
+    (lambda: eq.ou_equidyn_node_view(1, True, 6), "start must be an integer"),
 ], ids=["basis-value-out-of-range", "u-equistatic-without-basis", "ou-scan-start-0",
-        "first-basis-value-out-of-range", "basis-matrix-shift-6", "ou-euclid-shift-0"])
+        "first-basis-value-out-of-range", "basis-matrix-shift-6", "ou-euclid-shift-0",
+        "float-basis-values", "string-basis-value", "basis-matrix-float-shift",
+        "ou-node-view-float-shift", "ou-scan-float-start", "ou-euclid-string-start",
+        "ou-node-view-bool-start"])
 def test_parameter_errors(call, match):
     with pytest.raises(eq.ParameterError, match=match):
         call()
